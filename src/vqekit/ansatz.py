@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidationError
 from .fermion import FermionOperator, jordan_wigner
-from .pauli import PauliString, PauliSum, PauliTerm, commutes
-from .simulator import StateVector, apply_pauli_exponential
+from .pauli import PauliString, PauliSum
+from .simulator import StateVector
 
 __all__ = [
     "GeneratorSet",
@@ -234,37 +234,35 @@ def parameter_count(cfg: AnsatzConfig) -> int:
     return n * cfg.trotter_slices if cfg.relaxed else n
 
 
-def _terms_commute(g: PauliSum) -> bool:
-    ts = g.terms
-    for a in range(len(ts)):
-        for b in range(a + 1, len(ts)):
-            if not commutes(ts[a].string, ts[b].string):
-                return False
-    return True
-
-
 def _exp_generator(state: StateVector, g: PauliSum, scale: float) -> StateVector:
-    """exp(scale * G) |psi> for anti-Hermitian G = i K, exactly."""
-    angles = []
-    for t in g.terms:
-        if abs(t.coeff.real) > 1e-10:
-            raise ValidationError("generator coefficient is not purely imaginary")
-        angles.append((t.string, t.coeff.imag))
-    if len(angles) <= 1 or _terms_commute(g):
-        for s, c in angles:
-            state = apply_pauli_exponential(state, s, scale * c)
-        return state
-    return _exp_dense(state, g, scale)
+    """exp(scale * G) |psi> for anti-Hermitian G = i K, exactly.
+
+    One X-mask group of G is D X^x with K Hermitian, so K^2 = diag(|D|^2)
+    and exp(phi G) psi = cos(phi |D|) psi + (sin(phi |D|) / |D|) D psi[src]:
+    one gather per group.  Groups of a commuting G commute, so its
+    exponential is the product of theirs; anything else goes dense.
+    """
+    cg = g.compiled
+    if not cg.antihermitian:
+        raise ValidationError("generator is not anti-Hermitian")
+    if len(cg.groups) > 1 and not cg.commuting:
+        return _exp_dense(state, g, scale)
+    amps = state.amplitudes
+    for src, diag in cg.groups:
+        mag = np.abs(diag)
+        angle = scale * mag
+        # Entries with |D| = 0 have D = 0: the gathered term vanishes.
+        gain = np.sin(angle) / np.where(mag > 0.0, mag, 1.0)
+        amps = np.cos(angle) * amps + gain * diag * amps[src]
+    out = StateVector.__new__(StateVector)
+    out.n_qubits = state.n_qubits
+    out.amplitudes = amps
+    return out
 
 
 def _exp_dense(state: StateVector, g: PauliSum, scale: float) -> StateVector:
-    # U = exp(scale * iK) via eigendecomposition of the Hermitian part K.
-    k_sum = PauliSum(
-        g.n_qubits,
-        [PauliTerm(complex(t.coeff.imag), t.string) for t in g.terms],
-    )
-    k = k_sum.to_matrix()
-    w, v = np.linalg.eigh(k)
+    # U = exp(scale * iK) via eigendecomposition of the Hermitian K = -iG.
+    w, v = np.linalg.eigh(-1j * g.to_matrix())
     amps = v @ (np.exp(1j * scale * w) * (v.conj().T @ state.amplitudes))
     out = StateVector.__new__(StateVector)
     out.n_qubits = state.n_qubits
@@ -297,9 +295,7 @@ def prepare_state(
         for g, theta in zip(gens.generators, blocks[t]):
             if theta != 0.0:
                 combined = combined + theta * g
-        combined = combined.simplify()
-        if len(combined):
-            state = _exp_generator(state, combined, 1.0)
+        state = _exp_generator(state, combined, 1.0)
     return state
 
 

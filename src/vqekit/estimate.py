@@ -15,11 +15,15 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 from .errors import ParameterError, ValidationError
 from .pauli import PauliString, PauliSum, commutes
-from .simulator import StateVector, expectation_and_variance, sample_group
+from .simulator import (
+    StateVector,
+    apply_pauli_string,
+    expectation_and_variance,
+    sample_group,
+)
 
 __all__ = [
     "TermEstimator",
@@ -185,6 +189,12 @@ class MeasurementPlan:
         return replace(self, per_group_variance_target=float(target))
 
 
+def _check_epsilon(epsilon: float) -> None:
+    # NaN passes `epsilon <= 0`, and a NaN target never stops the sampler.
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError(f"epsilon must be finite and positive, got {epsilon!r}")
+
+
 def _measurable_indices(h: PauliSum) -> list[int]:
     return [i for i, t in enumerate(h.terms) if not t.string.is_identity()]
 
@@ -196,15 +206,13 @@ def exact_covariances(h: PauliSum, state: StateVector) -> np.ndarray:
     symmetrized covariance; only commuting pairs are consumed by planning.
     Indexed over all of h's terms, identity rows/columns zero.
     """
-    from .simulator import _apply_string
-
     m = len(h.terms)
     phis = np.zeros((m, state.amplitudes.size), dtype=complex)
     means = np.zeros(m)
     for i, t in enumerate(h.terms):
         if t.string.is_identity():
             continue
-        phi = complex(t.coeff) * _apply_string(state.amplitudes, t.string)
+        phi = complex(t.coeff) * apply_pauli_string(state, t.string).amplitudes
         phis[i] = phi
         means[i] = float(np.real(np.vdot(state.amplitudes, phi)))
     cross = np.real(phis.conj() @ phis.T)
@@ -319,8 +327,7 @@ def truncate_terms(
     """
     if not 0.0 <= C < 1.0:
         raise ValidationError("C must lie in [0, 1)")
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    _check_epsilon(epsilon)
     idx = _measurable_indices(h)
     order = sorted(idx, key=lambda i: abs(h.terms[i].coeff))
     budget = C * epsilon
@@ -345,8 +352,7 @@ def expected_preparations(
     plan: MeasurementPlan, state: StateVector, h: PauliSum, epsilon: float
 ) -> float:
     """Analytic expected shot count G * sum_i Var[Q_i] / eps^2."""
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    _check_epsilon(epsilon)
     plan.validate_against(h)
     total_var = 0.0
     for g in plan.groups:
@@ -438,8 +444,7 @@ def estimate_expectation(
     The identity component of h is added analytically.  In Bayesian mode a
     credible interval for the total is attached when credible_level is set.
     """
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if mode not in ("frequentist", "bayesian"):
         raise ParameterError(f"unknown estimation mode {mode!r}")
     if rng is None:
@@ -553,6 +558,8 @@ def beta_density(
     lo, hi = min(m1, m2), max(m1, m2)
     if hi - lo < 1e-300:
         raise ValidationError("degenerate outcome pair has no density")
+    from scipy.stats import beta as _beta_dist  # slow import; kept off `import vqekit`
+
     grid = np.linspace(lo, hi, points)
     p = (grid - m2) / (m1 - m2)
     pdf = _beta_dist.pdf(np.clip(p, 0.0, 1.0), alpha, beta) / abs(m1 - m2)

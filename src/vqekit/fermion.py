@@ -383,7 +383,7 @@ class RDMPair:
 
 def measure_rdm(state, n_modes: int) -> RDMPair:
     """Exact RDMs of a simulated state (the partial-tomography view)."""
-    from .simulator import StateVector, _apply_string  # local to avoid a cycle
+    from .simulator import StateVector  # local to avoid a cycle
 
     if not isinstance(state, StateVector):
         raise ValidationError("measure_rdm expects a StateVector")
@@ -392,10 +392,7 @@ def measure_rdm(state, n_modes: int) -> RDMPair:
 
     def expect(ops: list[tuple[int, bool]]) -> complex:
         f = FermionOperator.from_term(n_modes, 1.0, ops)
-        ps = jordan_wigner(f)
-        phi = np.zeros_like(state.amplitudes)
-        for t in ps.terms:
-            phi += t.coeff * _apply_string(state.amplitudes, t.string)
+        phi = jordan_wigner(f).compiled.apply(state.amplitudes)
         return complex(np.vdot(state.amplitudes, phi))
 
     d1 = np.zeros((n_modes, n_modes), dtype=complex)

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ValidationError
 from .rng import make_rng
@@ -219,6 +218,8 @@ def multistart(
         raise ValidationError("bounds must satisfy lo < hi")
     obj = fn if isinstance(fn, Objective) else Objective(fn)
     trace_start = len(obj.trace)
+    from scipy.stats import qmc  # slow import; kept off `import vqekit`
+
     sob = qmc.Sobol(d=lo.size, scramble=True, seed=rng)
     with warnings.catch_warnings():
         # Sobol balance only holds at power-of-two sample counts; the

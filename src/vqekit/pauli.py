@@ -26,6 +26,7 @@ __all__ = [
     "PauliString",
     "PauliTerm",
     "PauliSum",
+    "CompiledSum",
     "multiply",
     "commutes",
 ]
@@ -35,13 +36,6 @@ ATOL = 1e-12
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
-
-_SINGLE_QUBIT_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 _PHASES = (1.0 + 0j, 1j, -1.0 + 0j, -1j)  # i**k for k = 0..3
 
@@ -113,14 +107,27 @@ class PauliString:
     def commutes(self, other: "PauliString") -> bool:
         return commutes(self, other)
 
+    def action(self) -> tuple[np.ndarray, np.ndarray]:
+        """(src, phases) with (P psi)[b] = phases[b] * psi[src[b]].
+
+        src[b] = b ^ x and phases = i^{|x & z|} (-1)^{|src & z|}, so row b
+        of the matrix holds phases[b] in column src[b] and is zero elsewhere.
+        """
+        src = np.arange(1 << self.n_qubits, dtype=np.intp) ^ self.x_mask
+        signs = 1.0 - 2.0 * (np.bitwise_count(src & self.z_mask) & 1)
+        phases = _PHASES[(self.x_mask & self.z_mask).bit_count() % 4] * signs
+        src.setflags(write=False)  # callers may share a cached copy
+        phases.setflags(write=False)
+        return src, phases
+
     def to_matrix(self, max_qubits: int = 12) -> np.ndarray:
         if self.n_qubits > max_qubits:
             raise CapacityError(
                 f"dense matrix for {self.n_qubits} qubits exceeds limit {max_qubits}"
             )
-        m = np.eye(1, dtype=complex)
-        for c in self.letters:
-            m = np.kron(m, _SINGLE_QUBIT_MATRICES[c])
+        src, phases = self.action()
+        m = np.zeros((src.size, src.size), dtype=complex)
+        m[np.arange(src.size), src] = phases
         return m
 
     def __eq__(self, other) -> bool:
@@ -168,14 +175,56 @@ class PauliTerm:
     string: PauliString
 
 
+class CompiledSum:
+    """A PauliSum grouped by X mask: (H psi)[b] = sum_g diag_g[b] psi[src_g[b]].
+
+    Terms that share an X mask x move amplitude b ^ x to b, each with its own
+    phase and sign, so one group is one gather and one complex diagonal:
+    diag = sum_k c_k i^{|x & z_k|} (-1)^{|src & z_k|}, summed in term order.
+    The flags are the sum's validation, done once: `hermitian` (merged
+    coefficients real), `antihermitian` (merged coefficients imaginary) and
+    `commuting` (every pair of terms commutes).
+    """
+
+    __slots__ = ("groups", "hermitian", "antihermitian", "commuting")
+
+    def __init__(self, h: "PauliSum"):
+        merged: dict[tuple[int, int], complex] = {}
+        groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for t in h.terms:
+            s = t.string
+            key = (s.x_mask, s.z_mask)
+            merged[key] = merged.get(key, 0j) + t.coeff
+            src, phases = s.action()
+            if s.x_mask not in groups:
+                groups[s.x_mask] = (src, np.zeros(src.size, dtype=complex))
+            diag = groups[s.x_mask][1]
+            diag += t.coeff * phases
+        self.groups = tuple(groups.values())
+        self.hermitian = all(abs(c.imag) <= 1e-10 for c in merged.values())
+        self.antihermitian = all(abs(c.real) <= 1e-10 for c in merged.values())
+        xs = np.array([x for x, _ in merged], dtype=np.uint64)
+        zs = np.array([z for _, z in merged], dtype=np.uint64)
+        odd = np.bitwise_count(xs[:, None] & zs[None, :])
+        self.commuting = not np.any((odd + odd.T) & 1)
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        """H psi for the amplitude vector psi."""
+        out = np.zeros_like(amps)
+        for src, diag in self.groups:
+            out += diag * amps[src]
+        return out
+
+
 class PauliSum:
     """Linear combination of Pauli strings on a fixed qubit count.
 
     Term order is preserved (simplify merges onto first occurrence), which
-    keeps downstream grouping and serialization deterministic.
+    keeps downstream grouping and serialization deterministic.  The terms
+    never change, so the compiled form is built on first use and cached.
     """
 
-    __slots__ = ("n_qubits", "terms")
+    __slots__ = ("n_qubits", "terms", "_compiled")
 
     def __init__(self, n_qubits: int, terms: list[PauliTerm] | tuple[PauliTerm, ...] = ()):
         if n_qubits < 1:
@@ -185,6 +234,14 @@ class PauliSum:
                 raise DimensionError("term qubit count differs from sum")
         self.n_qubits = n_qubits
         self.terms = tuple(terms)
+        self._compiled = None
+
+    @property
+    def compiled(self) -> CompiledSum:
+        """The X-mask grouped form, built on first use and then cached."""
+        if self._compiled is None:
+            self._compiled = CompiledSum(self)
+        return self._compiled
 
     @classmethod
     def from_terms(cls, pairs: list[tuple[complex, str]]) -> "PauliSum":
@@ -250,8 +307,9 @@ class PauliSum:
         kept = [PauliTerm(acc[s], s) for s in order if abs(acc[s]) > atol]
         return PauliSum(self.n_qubits, kept)
 
-    def is_hermitian(self, atol: float = 1e-10) -> bool:
-        return all(abs(t.coeff.imag) <= atol for t in self.simplify().terms)
+    def is_hermitian(self) -> bool:
+        """True when every merged coefficient is real to 1e-10."""
+        return self.compiled.hermitian
 
     def identity_part(self) -> complex:
         return sum(
@@ -266,8 +324,9 @@ class PauliSum:
             )
         dim = 1 << self.n_qubits
         m = np.zeros((dim, dim), dtype=complex)
-        for t in self.terms:
-            m += t.coeff * t.string.to_matrix(max_qubits)
+        rows = np.arange(dim)
+        for src, diag in self.compiled.groups:
+            m[rows, src] = diag
         return m
 
     def to_json_dict(self) -> dict:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ValidationError
 from .pauli import PauliSum
@@ -57,6 +56,8 @@ class Schedule:
             if theta1 * self.tau < 1.0 - 1e-12:
                 raise ValidationError("linear rate never reaches g = 1 by tau")
         elif self.variant == "spline":
+            from scipy.interpolate import CubicSpline  # slow import; kept off `import vqekit`
+
             theta1, theta2 = self.theta
             xs = np.array([0.0, _KNOT_LO * self.tau, _KNOT_HI * self.tau, self.tau])
             ys = np.array([0.0, theta1, theta2, 1.0])

@@ -8,6 +8,7 @@ explicit numpy Generator (see rng.make_rng).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,19 +93,14 @@ class MeasurementRecord:
     post_state: "StateVector"
 
 
+# Per-string (src, phases) tables; strings are hashable and immutable.
+_string_action = lru_cache(maxsize=256)(PauliString.action)
+
+
 def _apply_string(amps: np.ndarray, s: PauliString) -> np.ndarray:
-    """P|psi> for unit-coefficient P, via index arithmetic."""
-    idx = np.arange(amps.size, dtype=np.uint64)
-    src = idx ^ np.uint64(s.x_mask)
-    out = amps[src]
-    if s.z_mask:
-        signs = 1.0 - 2.0 * (np.bitwise_count(src & np.uint64(s.z_mask)) & 1)
-        out = out * signs
-    k = (s.x_mask & s.z_mask).bit_count() % 4
-    phase = (1.0 + 0j, 1j, -1.0 + 0j, -1j)[k]
-    if phase != 1.0:
-        out = out * phase
-    return out
+    """P|psi> for unit-coefficient P: one gather and one multiply."""
+    src, phases = _string_action(s)
+    return amps[src] * phases
 
 
 def apply_pauli_string(state: StateVector, s: PauliString) -> StateVector:
@@ -130,20 +126,13 @@ def apply_pauli_exponential(state: StateVector, s: PauliString, theta: float) ->
     return out
 
 
-def _apply_sum(amps: np.ndarray, h: PauliSum) -> np.ndarray:
-    out = np.zeros_like(amps)
-    for t in h.terms:
-        out += t.coeff * _apply_string(amps, t.string)
-    return out
-
-
 def expectation_and_variance(state: StateVector, h: PauliSum) -> tuple[float, float]:
     """Exact (<H>, <H^2> - <H>^2) for a Hermitian sum."""
     if h.n_qubits != state.n_qubits:
         raise DimensionError("operator and state qubit counts differ")
     if not h.is_hermitian():
         raise ValidationError("expectation requires a Hermitian sum")
-    phi = _apply_sum(state.amplitudes, h)
+    phi = h.compiled.apply(state.amplitudes)
     mean_c = complex(np.vdot(state.amplitudes, phi))
     if abs(mean_c.imag) > 1e-9 * max(1.0, abs(mean_c)):
         raise ValidationError(f"non-real expectation {mean_c}")

@@ -237,6 +237,17 @@ class TestEstimateCommand:
         assert report["value"] == 1.5
         assert report["total_preparations"] == 0
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_fails_closed(self, tmp_path, eps):
+        cfg = write_config(
+            tmp_path / "bad.json",
+            {"hamiltonian": TWOSPIN, "state": {"label": "01"}, "epsilon": eps, "seed": 1},
+        )
+        code, _, err = run_cli("estimate", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
     def test_plan_must_cover_terms(self, tmp_path):
         cfg = write_config(
             tmp_path / "bad.json",

@@ -225,6 +225,11 @@ class TestTruncateTerms:
         with pytest.raises(ValidationError):
             truncate_terms(twospin, 0.0, 0.5)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_epsilon(self, twospin, eps):
+        with pytest.raises(ValidationError):
+            truncate_terms(twospin, eps, 0.5)
+
 
 class TestExpectedPreparations:
     def test_three_plan_costs(self, twospin, state01):
@@ -248,6 +253,22 @@ class TestExpectedPreparations:
 
 
 class TestEstimateExpectation:
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf"), 0.0, -0.1])
+    def test_bad_epsilon_raises_before_sampling(self, twospin, state01, eps):
+        # A NaN target used to make the stopping rule run for ever.
+        plan = MeasurementPlan(groups=((0,), (1, 2), (3, 4)))
+        rng = np.random.default_rng(23)
+        before = rng.bit_generator.state
+
+        def prep():
+            raise AssertionError("sampling started")
+
+        with pytest.raises(ValidationError):
+            estimate_expectation(prep, twospin, plan, epsilon=eps, rng=rng)
+        with pytest.raises(ValidationError):
+            expected_preparations(plan, state01, twospin, epsilon=eps)
+        assert rng.bit_generator.state == before
+
     def test_frequentist_run(self, twospin, state01):
         plan = MeasurementPlan(groups=((0,), (1, 2), (3, 4)))
         rng = np.random.default_rng(23)
