@@ -31,6 +31,7 @@ from .fermion import (
     normal_order,
 )
 from .simulator import (
+    GroupSampler,
     MeasurementRecord,
     StateVector,
     apply_pauli_exponential,

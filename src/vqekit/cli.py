@@ -1,9 +1,11 @@
 """Command-line harness: vqe, adiabatic, estimate, and certify runs.
 
-Configs are single JSON documents validated fail-closed (unknown keys are
-rejected with their path).  All outputs are deterministic for a fixed
-config and seed: JSON keys are sorted and floats are written with repr,
-so reruns are byte-identical.
+Configs are single JSON documents validated fail-closed: unknown keys are
+rejected with their path, and numbers must have the right type, be finite
+and lie in range.  Every output is computed before the first file is
+written, so a failed run leaves nothing behind.  All outputs are
+deterministic for a fixed config and seed: JSON keys are sorted and floats
+are written with repr, so reruns are byte-identical.
 
 Exit codes: 0 success/converged, 1 config or IO error, 2 optimizer
 budget exhausted.
@@ -48,6 +50,35 @@ def _check_keys(d, where: str, required: set, optional: set = frozenset()):
         _fail(f"{where}: missing keys {sorted(missing)}")
 
 
+def _real(value, where: str) -> float:
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (real and math.isfinite(value)):
+        _fail(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str, lo: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+        _fail(f"{where}: expected an integer >= {lo}, got {value!r}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        _fail(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        _fail(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def _indices(value, where: str) -> list[int]:
+    return [_integer(p, f"{where}[{k}]", 0) for k, p in enumerate(_list(value, where))]
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -69,13 +100,19 @@ def _load_state(spec, where: str) -> StateVector:
     if ("label" in spec) == ("amplitudes" in spec):
         _fail(f"{where}: give exactly one of label or amplitudes")
     if "label" in spec:
-        return StateVector.from_label(spec["label"])
-    amps = np.array([complex(re, im) for re, im in spec["amplitudes"]])
-    return StateVector(amps)
+        return StateVector.from_label(_string(spec["label"], f"{where}.label"))
+    amps = []
+    for k, pair in enumerate(_list(spec["amplitudes"], f"{where}.amplitudes")):
+        at = f"{where}.amplitudes[{k}]"
+        if not isinstance(pair, list) or len(pair) != 2:
+            _fail(f"{at}: expected a [re, im] pair, got {pair!r}")
+        amps.append(complex(_real(pair[0], at), _real(pair[1], at)))
+    return StateVector(np.array(amps))
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _json_text(obj) -> str:
+    # allow_nan=False: a non-finite value is an error, never an Infinity token.
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_cell(v) -> str:
@@ -84,20 +121,23 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _csv_text(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_csv_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
-def _out_dir(cfg: dict, override: str | None, base: Path) -> Path:
-    out = override if override is not None else cfg.get("output_dir", ".")
-    p = Path(out)
+def _write_outputs(cfg: dict, override: str | None, base: Path, files: dict) -> None:
+    """Create the output directory and write every file; called last."""
+    if override is None:
+        override = _string(cfg.get("output_dir", "."), "output_dir")
+    p = Path(override)
     if not p.is_absolute():
         p = base / p
     p.mkdir(parents=True, exist_ok=True)
-    return p
+    for name, text in files.items():
+        (p / name).write_text(text, encoding="utf-8")
 
 
 def _seed_of(cfg: dict, override: int | None) -> int:
@@ -105,7 +145,7 @@ def _seed_of(cfg: dict, override: int | None) -> int:
         return override
     if "seed" not in cfg:
         _fail("config: a seed is required")
-    return int(cfg["seed"])
+    return _integer(cfg["seed"], "seed", 0)
 
 
 # ---------------------------------------------------------------- vqe
@@ -133,11 +173,11 @@ def _build_ansatz(cfg: dict, n_qubits: int):
         {"order", "occupied", "reference", "trotter_slices", "relaxed"},
     )
     kind = cfg["kind"]
-    order = int(cfg.get("order", 2))
+    order = _integer(cfg.get("order", 2), "ansatz.order", 1)
     if kind == "fermionic_ucc":
         if "occupied" not in cfg:
             _fail("ansatz: fermionic_ucc needs an occupied mode list")
-        occ = [int(p) for p in cfg["occupied"]]
+        occ = _indices(cfg["occupied"], "ansatz.occupied")
         virt = sorted(set(range(n_qubits)) - set(occ))
         gens = _ansatz.fermionic_ucc_generators(n_qubits, occ, virt, order)
         ref = _ansatz.ReferenceState.from_occupied(n_qubits, occ)
@@ -152,10 +192,15 @@ def _build_ansatz(cfg: dict, n_qubits: int):
     # Spin-cluster families lean on the repeated product for expressiveness;
     # the fermionic families do not need the extra depth at these sizes.
     default_slices = 2 if kind == "spin_cluster" else 1
+    relaxed = cfg.get("relaxed", False)
+    if not isinstance(relaxed, bool):
+        _fail(f"ansatz.relaxed: expected true or false, got {relaxed!r}")
     acfg = _ansatz.AnsatzConfig(
         generator_set=gens,
-        trotter_slices=int(cfg.get("trotter_slices", default_slices)),
-        relaxed=bool(cfg.get("relaxed", False)),
+        trotter_slices=_integer(
+            cfg.get("trotter_slices", default_slices), "ansatz.trotter_slices", 1
+        ),
+        relaxed=relaxed,
     )
     return ref, acfg
 
@@ -168,11 +213,13 @@ def _reference_from_cfg(cfg: dict, n_qubits: int) -> "_ansatz.ReferenceState":
     if ("label" in spec) == ("occupied" in spec):
         _fail("ansatz.reference: give exactly one of label or occupied")
     if "label" in spec:
-        label = spec["label"]
+        label = _string(spec["label"], "ansatz.reference.label")
         if len(label) != n_qubits:
             _fail("ansatz.reference: label length does not match qubit count")
         return _ansatz.ReferenceState(n_qubits=n_qubits, basis_index=int(label, 2))
-    return _ansatz.ReferenceState.from_occupied(n_qubits, spec["occupied"])
+    return _ansatz.ReferenceState.from_occupied(
+        n_qubits, _indices(spec["occupied"], "ansatz.reference.occupied")
+    )
 
 
 def _run_optimizer(cfg: dict, fn, x0, seed: int):
@@ -183,9 +230,9 @@ def _run_optimizer(cfg: dict, fn, x0, seed: int):
         {"method", "tol", "max_evals", "restarts", "n_starts", "bounds"},
     )
     method = cfg.get("method", "nelder_mead")
-    tol = float(cfg.get("tol", 1e-9))
-    max_evals = int(cfg.get("max_evals", 400))
-    restarts = int(cfg.get("restarts", 0))
+    tol = _real(cfg.get("tol", 1e-9), "optimizer.tol")
+    max_evals = _integer(cfg.get("max_evals", 400), "optimizer.max_evals", 1)
+    restarts = _integer(cfg.get("restarts", 0), "optimizer.restarts", 0)
     if method == "nelder_mead":
         return _optimize.nelder_mead(
             fn, x0, tol=tol, max_evals=max_evals, restarts=restarts
@@ -193,11 +240,16 @@ def _run_optimizer(cfg: dict, fn, x0, seed: int):
     if method == "multistart":
         if "bounds" not in cfg:
             _fail("optimizer: multistart needs bounds")
-        bounds = [(float(lo), float(hi)) for lo, hi in cfg["bounds"]]
+        bounds = []
+        for k, pair in enumerate(_list(cfg["bounds"], "optimizer.bounds")):
+            at = f"optimizer.bounds[{k}]"
+            if not isinstance(pair, list) or len(pair) != 2:
+                _fail(f"{at}: expected a [lo, hi] pair, got {pair!r}")
+            bounds.append((_real(pair[0], at), _real(pair[1], at)))
         return _optimize.multistart(
             fn,
             bounds,
-            n_starts=int(cfg.get("n_starts", 8)),
+            n_starts=_integer(cfg.get("n_starts", 8), "optimizer.n_starts", 1),
             rng=make_rng(seed),
             tol=tol,
             max_evals=max_evals,
@@ -224,9 +276,12 @@ def cmd_vqe(cfg: dict, out_override=None, seed_override=None, exact=False, base=
     mode = "exact" if exact else est_cfg.get("mode", "exact")
     if mode not in ("exact", "frequentist", "bayesian"):
         _fail(f"estimator: unknown mode {mode!r}")
-    epsilon = float(est_cfg.get("epsilon", 0.01))
-    trunc_c = float(est_cfg.get("truncation", 0.0))
+    epsilon = _real(est_cfg.get("epsilon", 0.01), "estimator.epsilon")
+    trunc_c = _real(est_cfg.get("truncation", 0.0), "estimator.truncation")
     grouping = est_cfg.get("grouping", "auto")
+    if grouping not in ("auto", "singleton"):
+        _fail(f"estimator: unknown grouping {grouping!r}")
+    gap = _real(cfg["gap"], "gap") if "gap" in cfg else None
 
     preparations = 0
     if mode == "exact":
@@ -243,7 +298,7 @@ def cmd_vqe(cfg: dict, out_override=None, seed_override=None, exact=False, base=
             plan = _estimate.build_groups(
                 h_meas, _estimate.exact_covariances(h_meas, ref_state)
             )
-        elif grouping == "singleton":
+        else:
             plan = _estimate.MeasurementPlan(
                 groups=tuple(
                     (i,)
@@ -251,8 +306,6 @@ def cmd_vqe(cfg: dict, out_override=None, seed_override=None, exact=False, base=
                     if not t.string.is_identity()
                 )
             )
-        else:
-            _fail(f"estimator: unknown grouping {grouping!r}")
         n_groups = max(1, len(plan.groups))
         if math.isfinite(per_term):
             m_kept = sum(
@@ -278,15 +331,14 @@ def cmd_vqe(cfg: dict, out_override=None, seed_override=None, exact=False, base=
     certs = {"mean": mean, "variance": var}
     lo, hi = _bounds.weinstein_interval(_bounds.BoundInputs(mean=mean, variance=var))
     certs["weinstein"] = [lo, hi]
-    if "gap" in cfg:
-        b = _bounds.BoundInputs(mean=mean, variance=var, gap=float(cfg["gap"]))
+    if gap is not None:
+        b = _bounds.BoundInputs(mean=mean, variance=var, gap=gap)
         try:
             certs["ground_overlap"] = _bounds.overlap_bound(b, "ground")
         except VqekitError as exc:
             certs["ground_overlap"] = None
             certs["ground_overlap_note"] = str(exc)
 
-    out = _out_dir(cfg, out_override, base)
     result = {
         "final_energy": float(res.value),
         "parameters": [float(v) for v in res.x],
@@ -298,12 +350,13 @@ def cmd_vqe(cfg: dict, out_override=None, seed_override=None, exact=False, base=
         "total_preparations": preparations,
         "certificates": certs,
     }
-    _write_json(out / "result.json", result)
-    _write_csv(
-        out / "trace.csv",
-        ["evaluation", "value"],
-        [(i, float(v)) for i, v in res.trace],
-    )
+    files = {
+        "result.json": _json_text(result),
+        "trace.csv": _csv_text(
+            ["evaluation", "value"], [(i, float(v)) for i, v in res.trace]
+        ),
+    }
+    _write_outputs(cfg, out_override, base, files)
     print(f"final energy {res.value!r} after {res.evaluations} evaluations")
     return 0 if res.converged else 2
 
@@ -331,18 +384,20 @@ def cmd_adiabatic(cfg: dict, out_override=None, seed_override=None, base=Path(".
     grid_cfg = cfg.get("a_grid", {})
     _check_keys(grid_cfg, "a_grid", set(), {"start", "stop", "points"})
     a_grid = np.linspace(
-        float(grid_cfg.get("start", 0.0)),
-        float(grid_cfg.get("stop", 1.0)),
-        int(grid_cfg.get("points", 1001)),
+        _real(grid_cfg.get("start", 0.0), "a_grid.start"),
+        _real(grid_cfg.get("stop", 1.0), "a_grid.stop"),
+        _integer(grid_cfg.get("points", 1001), "a_grid.points", 1),
     )
-    taus = [float(t) for t in cfg["taus"]]
+    taus = [_real(t, f"taus[{k}]") for k, t in enumerate(_list(cfg["taus"], "taus"))]
     if not taus:
         _fail("config: taus must be nonempty")
+    if min(taus) <= 0:
+        _fail("config: taus must be positive")
     family = cfg.get("family", "spline")
     objective = cfg.get("objective", "energy")
     steps = cfg.get("steps")
-    steps = int(steps) if steps is not None else None
-    n_switches = int(cfg.get("n_switches", 2))
+    steps = _integer(steps, "steps", 1) if steps is not None else None
+    n_switches = _integer(cfg.get("n_switches", 2), "n_switches", 0)
 
     levels = _schedule.spectrum_along_path(h_i, h_p, a_grid)
     spec_rows = [
@@ -383,24 +438,27 @@ def cmd_adiabatic(cfg: dict, out_override=None, seed_override=None, base=Path(".
             )
         )
 
-    out = _out_dir(cfg, out_override, base)
-    _write_csv(out / "spectrum.csv", spec_header, spec_rows)
-    _write_csv(out / "path.csv", ["tau", "family", "t", "g"], path_rows)
-    _write_csv(out / "trajectory.csv", ["tau", "family", "s", "overlap"], traj_rows)
-    _write_csv(
-        out / "success.csv",
-        ["tau", "linear_success", "optimized_success", "optimized_params"],
-        success_rows,
-    )
-    gaps = levels[:, 1] - levels[:, 0] if levels.shape[1] > 1 else None
-    if gaps is not None:
+    lines = []
+    if levels.shape[1] > 1:
+        gaps = levels[:, 1] - levels[:, 0]
         k = int(np.argmin(gaps))
-        print(f"minimum spectral gap {float(gaps[k])!r} at A={float(a_grid[k])!r}")
+        lines.append(f"minimum spectral gap {float(gaps[k])!r} at A={float(a_grid[k])!r}")
     for row in success_rows:
-        print(
+        lines.append(
             f"tau {row[0]!r}: linear success {row[1]!r}, "
             f"optimized ({family}) {row[2]!r}"
         )
+    files = {
+        "spectrum.csv": _csv_text(spec_header, spec_rows),
+        "path.csv": _csv_text(["tau", "family", "t", "g"], path_rows),
+        "trajectory.csv": _csv_text(["tau", "family", "s", "overlap"], traj_rows),
+        "success.csv": _csv_text(
+            ["tau", "linear_success", "optimized_success", "optimized_params"],
+            success_rows,
+        ),
+    }
+    _write_outputs(cfg, out_override, base, files)
+    print("\n".join(lines))
     return 0
 
 
@@ -417,9 +475,11 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
     seed = _seed_of(cfg, seed_override)
     h = _load_pauli_sum(cfg["hamiltonian"], base, "hamiltonian")
     state = _load_state(cfg["state"], "state")
-    epsilon = float(cfg.get("epsilon", 0.1))
+    epsilon = _real(cfg.get("epsilon", 0.1), "epsilon")
     mode = cfg.get("mode", "frequentist")
-    trunc_c = float(cfg.get("truncation", 0.0))
+    if mode not in ("frequentist", "bayesian"):
+        _fail(f"config: unknown mode {mode!r}")
+    trunc_c = _real(cfg.get("truncation", 0.0), "truncation")
     h_meas, k_star, _per_term = _estimate.truncate_terms(h, epsilon, trunc_c)
 
     plans_cfg = cfg.get("plans", "auto")
@@ -428,12 +488,17 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
         cov = _estimate.exact_covariances(h_meas, state)
         plans.append(("auto", _estimate.build_groups(h_meas, cov)))
     else:
-        for k, entry in enumerate(plans_cfg):
-            _check_keys(entry, f"plans[{k}]", {"groups"}, {"name"})
+        for k, entry in enumerate(_list(plans_cfg, "plans")):
+            where = f"plans[{k}]"
+            _check_keys(entry, where, {"groups"}, {"name"})
+            groups = _list(entry["groups"], f"{where}.groups")
             plan = _estimate.MeasurementPlan(
-                groups=tuple(tuple(int(i) for i in g) for g in entry["groups"])
+                groups=tuple(
+                    tuple(_indices(g, f"{where}.groups[{j}]")) for j, g in enumerate(groups)
+                )
             )
-            plans.append((entry.get("name", f"plan-{k + 1}"), plan))
+            name = _string(entry.get("name", f"plan-{k + 1}"), f"{where}.name")
+            plans.append((name, plan))
 
     lines = []
     best = None
@@ -475,16 +540,16 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
         report_dict["seed"] = seed
         report_dict["truncated_terms"] = k_star
 
-    out = _out_dir(cfg, out_override, base)
     plan_text = []
     for name, plan in plans:
         plan_text.append(f"# plan {name}")
         d = _estimate.format_plan(plan, h_meas)
         if d:
             plan_text.append(d)
-    (out / "plan.txt").write_text("\n".join(plan_text) + "\n", encoding="utf-8")
+    files = {"plan.txt": "\n".join(plan_text) + "\n"}
     if report_dict is not None:
-        _write_json(out / "report.json", report_dict)
+        files["report.json"] = _json_text(report_dict)
+    _write_outputs(cfg, out_override, base, files)
     print("\n".join(lines))
     return 0
 
@@ -515,8 +580,8 @@ def cmd_certify(cfg: dict, out_override=None, base=Path(".")) -> int:
     if direct:
         if "mean" not in cfg or "variance" not in cfg:
             _fail("config: mean and variance go together")
-        mean = float(cfg["mean"])
-        var = float(cfg["variance"])
+        mean = _real(cfg["mean"], "mean")
+        var = _real(cfg["variance"], "variance")
     else:
         if "hamiltonian" not in cfg or "state" not in cfg:
             _fail("config: hamiltonian and state go together")
@@ -524,8 +589,8 @@ def cmd_certify(cfg: dict, out_override=None, base=Path(".")) -> int:
         state = _load_state(cfg["state"], "state")
         mean, var = expectation_and_variance(state, h)
 
-    gap = float(cfg["gap"]) if "gap" in cfg else None
-    alpha = float(cfg["alpha"]) if "alpha" in cfg else None
+    gap = _real(cfg["gap"], "gap") if "gap" in cfg else None
+    alpha = _real(cfg["alpha"], "alpha") if "alpha" in cfg else None
     b = _bounds.BoundInputs(
         mean=mean,
         variance=var,
@@ -558,8 +623,7 @@ def cmd_certify(cfg: dict, out_override=None, base=Path(".")) -> int:
         lines.append(f"eigenvalue >= {db!r} (variance form)")
         lines.append(f"eigenvalue >= {dbs!r} (deviation form)")
 
-    out = _out_dir(cfg, out_override, base)
-    _write_json(out / "certificates.json", report)
+    _write_outputs(cfg, out_override, base, {"certificates.json": _json_text(report)})
     print("\n".join(lines))
     return 0
 

@@ -2,11 +2,11 @@
 
 Terms are sampled through projective group measurements and accumulated by
 either a frequentist (running mean / unbiased variance) or a Bayesian
-(Beta posterior per term) estimator until the estimator variance falls
-under a per-group target derived from the requested precision.  Planning
-utilities choose commuting groups with covariance awareness, truncate
-negligible terms under a bias budget, and convolve term posteriors into a
-credible interval for the total.
+(Dirichlet posterior over each group's joint outcomes) estimator until the
+estimator variance falls under a per-group target derived from the
+requested precision.  Planning utilities choose commuting groups with
+covariance awareness, truncate negligible terms under a bias budget, and
+convolve group posteriors into a credible interval for the total.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import numpy as np
 from .errors import ParameterError, ValidationError
 from .pauli import PauliString, PauliSum, commutes
 from .simulator import (
+    GroupSampler,
     StateVector,
     apply_pauli_string,
     expectation_and_variance,
-    sample_group,
 )
 
 __all__ = [
@@ -110,14 +110,18 @@ class TermEstimator:
         return posterior_moments(self.alpha, self.beta, self.m1, self.m2)[1]
 
 
+def _welford(n: int, mean: float, sq_dev: float, x: float) -> tuple[int, float, float]:
+    n += 1
+    delta = x - mean
+    mean = mean + delta / n
+    return n, mean, sq_dev + delta * (x - mean)
+
+
 def update_frequentist(est: TermEstimator, x: float) -> TermEstimator:
     """Welford step: one pass, no catastrophic cancellation."""
     if est.mode != "frequentist":
         raise ParameterError("estimator is not in frequentist mode")
-    n = est.n + 1
-    delta = x - est.mean
-    mean = est.mean + delta / n
-    sq_dev = est.sq_dev + delta * (x - mean)
+    n, mean, sq_dev = _welford(est.n, est.mean, est.sq_dev, x)
     return replace(est, n=n, mean=mean, sq_dev=sq_dev)
 
 
@@ -234,9 +238,11 @@ def pilot_covariances(
 
     Commuting pairs are co-measured shots times each; non-commuting
     off-diagonal entries are left at zero (they can never share a group).
+    prep is called once and must return the state to measure.
     """
     if shots < 2:
         raise ValidationError("need at least two pilot shots")
+    state = prep()
     m = len(h.terms)
     cov = np.zeros((m, m))
     idx = _measurable_indices(h)
@@ -248,13 +254,11 @@ def pilot_covariances(
                 continue
             hi = float(np.real(h.terms[i].coeff))
             hj = float(np.real(h.terms[j].coeff))
-            xs = np.empty(shots)
-            ys = np.empty(shots)
-            group = (si,) if i == j else (si, sj)
-            for k in range(shots):
-                rec = sample_group(prep(), group, rng)
-                xs[k] = hi * rec.outcomes[0]
-                ys[k] = hj * rec.outcomes[-1] if i != j else xs[k]
+            sampler = GroupSampler(state, (si,) if i == j else (si, sj))
+            leaves = sampler.draw(rng, shots).tolist()
+            signs = np.array([sampler.outcomes(leaf) for leaf in leaves])
+            xs = hi * signs[:, 0]
+            ys = hj * signs[:, -1] if i != j else xs
             c = float(np.mean(xs * ys) - np.mean(xs) * np.mean(ys))
             cov[i, j] = c
             cov[j, i] = c
@@ -399,34 +403,71 @@ class EstimateReport:
         return d
 
 
-def _frequentist_group(prep, strings, coeffs, target, rng):
-    est = TermEstimator.frequentist()
+class _LeafValues(dict):
+    """The group's weighted sum q = sum_i c_i o_i per leaf code.
+
+    q depends only on the leaf, so each is computed once, on first lookup.
+    """
+
+    def __init__(self, sampler, coeffs):
+        super().__init__()
+        self.sampler = sampler
+        self.coeffs = coeffs
+
+    def __missing__(self, leaf):
+        q = self[leaf] = float(np.dot(self.coeffs, self.sampler.outcomes(leaf)))
+        return q
+
+
+def _frequentist_group(sampler, coeffs, target, rng):
+    # The running moments stay plain floats between stopping-rule checks.
+    qs = _LeafValues(sampler, coeffs)
+    n, mean, sq_dev = 0, 0.0, 0.0
     while True:
-        for _ in range(BATCH_SIZE):
-            rec = sample_group(prep(), strings, rng)
-            q = float(np.dot(coeffs, rec.outcomes))
-            est = update_frequentist(est, q)
+        for leaf in sampler.draw(rng, BATCH_SIZE).tolist():
+            n, mean, sq_dev = _welford(n, mean, sq_dev, qs[leaf])
+        est = TermEstimator(mode="frequentist", n=n, mean=mean, sq_dev=sq_dev)
         if est.n >= MIN_SHOT_FLOOR and est.estimator_variance < target:
             return est
 
 
-def _bayesian_group(prep, strings, coeffs, target, rng):
-    ests = [TermEstimator.bayesian(m1=c, m2=-c) for c in coeffs]
+def _bayesian_group(sampler, coeffs, target, rng):
+    """(shots, posterior mean, posterior variance) of the group's sum Q.
 
-    def group_variance():
-        return sum(e.estimator_variance for e in ests)
+    The prior is a symmetric Dirichlet of total weight 2 over the 2^k joint
+    sign patterns of the group's k strings; for one string it is the flat
+    Beta(1, 1) of TermEstimator.bayesian.  Each leaf is one pattern, so the
+    posterior needs only n, sum q and sum q^2, and co-measured terms keep
+    their covariance.  Under the prior, E[q] = 0 and E[q^2] = sum c_i^2.
+    """
+    prior_sq = 2.0 * float(np.dot(coeffs, coeffs))
+    qs = _LeafValues(sampler, coeffs)
+    n, s1, s2 = 0, 0.0, 0.0
 
-    n = 0
-    while group_variance() >= target:
-        hits = np.zeros(len(strings), dtype=int)
-        for _ in range(BATCH_SIZE):
-            rec = sample_group(prep(), strings, rng)
-            hits += np.asarray(rec.outcomes) == 1
-        ests = [
-            update_bayesian(e, BATCH_SIZE, int(r)) for e, r in zip(ests, hits)
-        ]
+    def moments():
+        mean = s1 / (n + 2)
+        return mean, ((prior_sq + s2) / (n + 2) - mean * mean) / (n + 3)
+
+    while moments()[1] >= target:
+        leaves, counts = np.unique(sampler.draw(rng, BATCH_SIZE), return_counts=True)
+        for leaf, count in zip(leaves.tolist(), counts.tolist()):
+            q = qs[leaf]
+            s1 += count * q
+            s2 += count * q * q
         n += BATCH_SIZE
-    return ests, n
+    return (n, *moments())
+
+
+def _group_density(coeffs, mean: float, var: float) -> PosteriorDensity:
+    """Beta density on Q's range [-sum|c|, sum|c|] with the given moments.
+
+    Exact for a single term; for larger groups it matches the Dirichlet
+    posterior's mean and variance.
+    """
+    half = float(np.sum(np.abs(coeffs)))
+    m = (mean + half) / (2.0 * half)
+    t = m * (1.0 - m) * (2.0 * half) ** 2 / var - 1.0
+    return beta_density(m * t, (1.0 - m) * t, half, -half)
 
 
 def estimate_expectation(
@@ -440,8 +481,9 @@ def estimate_expectation(
 ) -> EstimateReport:
     """Measure each group until its estimator variance clears eps^2 / G.
 
-    prep is called once per preparation and must return a fresh StateVector.
-    The identity component of h is added analytically.  In Bayesian mode a
+    prep is called once, after validation, and must return the state to
+    measure; every preparation of every group samples that state.  The
+    identity component of h is added analytically.  In Bayesian mode a
     credible interval for the total is attached when credible_level is set.
     """
     _check_epsilon(epsilon)
@@ -450,6 +492,7 @@ def estimate_expectation(
     if rng is None:
         raise ValidationError("an explicit rng is required for reproducibility")
     plan.validate_against(h)
+    state = prep()
     identity = float(np.real(h.identity_part()))
     if not plan.groups:
         return EstimateReport(
@@ -467,10 +510,10 @@ def estimate_expectation(
     reports = []
     densities = []
     for g in plan.groups:
-        strings = tuple(h.terms[i].string for i in g)
+        sampler = GroupSampler(state, [h.terms[i].string for i in g])
         coeffs = np.array([float(np.real(h.terms[i].coeff)) for i in g])
         if mode == "frequentist":
-            est = _frequentist_group(prep, strings, coeffs, target, rng)
+            est = _frequentist_group(sampler, coeffs, target, rng)
             reports.append(
                 GroupReport(
                     indices=g,
@@ -480,18 +523,14 @@ def estimate_expectation(
                 )
             )
         else:
-            ests, n = _bayesian_group(prep, strings, coeffs, target, rng)
-            value = sum(e.value for e in ests)
-            var = sum(e.estimator_variance for e in ests)
+            n, value, var = _bayesian_group(sampler, coeffs, target, rng)
             reports.append(
                 GroupReport(
                     indices=g, value=value, estimator_variance=var, preparations=n
                 )
             )
-            if credible_level is not None:
-                densities.extend(
-                    beta_density(e.alpha, e.beta, e.m1, e.m2) for e in ests
-                )
+            if credible_level is not None and np.any(coeffs):
+                densities.append(_group_density(coeffs, value, var))
 
     interval = None
     if mode == "bayesian" and credible_level is not None and densities:

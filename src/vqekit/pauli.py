@@ -15,6 +15,7 @@ convention P(x,z) = i^{x.z} X^x Z^z so that P(1,1) = Y exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,16 +350,21 @@ class PauliSum:
         extra = set(data) - {"n_qubits", "terms"}
         if extra:
             raise ValidationError(f"bad Hamiltonian JSON: unknown keys {sorted(extra)}")
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValidationError("n_qubits must be a positive integer")
+        if not isinstance(raw, list):
+            raise ValidationError("terms must be a list")
         terms = []
         for i, entry in enumerate(raw):
+            if not isinstance(entry, dict):
+                raise ValidationError(f"term {i}: expected an object")
             extra = set(entry) - {"coeff", "paulis"}
             if extra:
                 raise ValidationError(f"term {i}: unknown keys {sorted(extra)}")
             coeff = entry["coeff"]
-            if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
-                raise ValidationError(f"term {i}: coeff must be a real number")
+            real = isinstance(coeff, (int, float)) and not isinstance(coeff, bool)
+            if not (real and math.isfinite(coeff)):
+                raise ValidationError(f"term {i}: coeff must be a finite real number")
             s = entry["paulis"]
             if not isinstance(s, str) or len(s) != n:
                 raise ValidationError(f"term {i}: paulis must be a string of length {n}")

@@ -23,6 +23,7 @@ from .pauli import PauliString, PauliSum, commutes
 __all__ = [
     "StateVector",
     "MeasurementRecord",
+    "GroupSampler",
     "apply_pauli_string",
     "apply_pauli_exponential",
     "expectation_and_variance",
@@ -127,7 +128,11 @@ def apply_pauli_exponential(state: StateVector, s: PauliString, theta: float) ->
 
 
 def expectation_and_variance(state: StateVector, h: PauliSum) -> tuple[float, float]:
-    """Exact (<H>, <H^2> - <H>^2) for a Hermitian sum."""
+    """Exact (<H>, Var H) for a Hermitian sum.
+
+    The variance is ||(H - <H>)psi||^2, which keeps its digits near an
+    eigenstate, where <H^2> - <H>^2 cancels to rounding noise.
+    """
     if h.n_qubits != state.n_qubits:
         raise DimensionError("operator and state qubit counts differ")
     if not h.is_hermitian():
@@ -136,9 +141,9 @@ def expectation_and_variance(state: StateVector, h: PauliSum) -> tuple[float, fl
     mean_c = complex(np.vdot(state.amplitudes, phi))
     if abs(mean_c.imag) > 1e-9 * max(1.0, abs(mean_c)):
         raise ValidationError(f"non-real expectation {mean_c}")
-    second = float(np.real(np.vdot(phi, phi)))
     mean = mean_c.real
-    return mean, max(0.0, second - mean * mean)
+    phi -= mean * state.amplitudes  # phi is ours: reuse it as the residual
+    return mean, float(np.real(np.vdot(phi, phi)))
 
 
 def exact_eigensystem(h: PauliSum, max_qubits: int = 12) -> tuple[np.ndarray, np.ndarray]:
@@ -161,6 +166,115 @@ def ground_state(h: PauliSum, max_qubits: int = 12) -> tuple[float, StateVector]
     return float(vals[0]), StateVector(vecs[:, 0], copy=True)
 
 
+def _born(amps: np.ndarray, s: PauliString) -> tuple[np.ndarray, float]:
+    """P|psi> and the Born probability of outcome +1 for P on |psi>."""
+    applied = _apply_string(amps, s)
+    p_plus = 0.5 * (1.0 + float(np.real(np.vdot(amps, applied))))
+    return applied, min(1.0, max(0.0, p_plus))
+
+
+def _collapse(amps: np.ndarray, applied: np.ndarray, o: int, p_plus: float) -> np.ndarray:
+    """Normalized projection (1 + o P)|psi> / 2 after outcome o."""
+    out = 0.5 * (amps + o * applied)
+    p_o = p_plus if o == 1 else 1.0 - p_plus
+    out /= np.sqrt(max(p_o, 1e-300))
+    return out
+
+
+class GroupSampler:
+    """Repeated sequential measurement of one commuting group on one state.
+
+    Measuring k strings in order passes through at most 2^k outcome
+    prefixes, and each prefix has a fixed conditional Born probability and
+    a fixed post-measurement vector.  Both are computed once, when a draw
+    first reaches the prefix, with the arithmetic of a single sequential
+    measurement.  `draw` therefore returns the outcomes that one
+    `sample_group` call per shot would, and leaves the generator in the
+    same state: shot-major, one uniform variate per string, deterministic
+    outcomes included.
+
+    Validation (dimensions, pairwise commutation) runs once, here.  Each
+    measured prefix stores the vectors of its (at most two) children until
+    they are measured in turn; leaves store none.
+    """
+
+    def __init__(
+        self, state: StateVector, strings: list[PauliString] | tuple[PauliString, ...]
+    ):
+        strings = tuple(strings)
+        if not strings:
+            raise ValidationError("empty measurement group")
+        for s in strings:
+            if s.n_qubits != state.n_qubits:
+                raise DimensionError("group string and state qubit counts differ")
+        for i in range(len(strings)):
+            for j in range(i + 1, len(strings)):
+                if not commutes(strings[i], strings[j]):
+                    raise NonCommutingGroupError(
+                        f"{strings[i].letters} and {strings[j].letters} do not commute"
+                    )
+        self.n_qubits = state.n_qubits
+        self.strings = strings
+        self._root = state.amplitudes.copy()
+        # Node 0 is the empty prefix.  Per node: its outcomes so far, the
+        # Born probability of +1 for the next string (NaN until measured)
+        # and its two children (after outcomes +1 and -1).
+        self._prefix: list[tuple[int, ...]] = [()]
+        self._amps = {0: self._root}
+        self._p_plus = np.full(8, np.nan)
+        self._child = np.full((8, 2), -1, dtype=np.intp)
+
+    def _measure(self, node: int, level: int) -> None:
+        amps = self._amps.pop(node)
+        applied, p_plus = _born(amps, self.strings[level])
+        if len(self._prefix) + 2 > self._p_plus.size:
+            grow = self._p_plus.size
+            self._p_plus = np.concatenate([self._p_plus, np.full(grow, np.nan)])
+            self._child = np.concatenate([self._child, np.full((grow, 2), -1, np.intp)])
+        self._p_plus[node] = p_plus
+        inner = level + 1 < len(self.strings)
+        for bit, o in enumerate((1, -1)):
+            child = len(self._prefix)
+            self._prefix.append(self._prefix[node] + (o,))
+            self._child[node, bit] = child
+            # An outcome of probability exactly zero can never be drawn.
+            if inner and (p_plus if o == 1 else 1.0 - p_plus) > 0.0:
+                self._amps[child] = _collapse(amps, applied, o, p_plus)
+
+    def draw(self, rng: np.random.Generator, shots: int) -> np.ndarray:
+        """Leaf codes of `shots` independent measurements, in shot order."""
+        if shots < 0:
+            raise ValidationError("shots must be non-negative")
+        k = len(self.strings)
+        u = rng.random(shots * k).reshape(shots, k)
+        node = np.zeros(shots, dtype=np.intp)
+        for level in range(k):
+            p_plus = self._p_plus[node]
+            new = np.isnan(p_plus)
+            if new.any():
+                for n in np.unique(node[new]).tolist():
+                    self._measure(n, level)
+                p_plus = self._p_plus[node]
+            # The per-shot rule is "+1 if u < p_plus", so bit 1 means -1.
+            node = self._child[node, (u[:, level] >= p_plus).astype(np.intp)]
+        return node
+
+    def outcomes(self, leaf: int) -> tuple[int, ...]:
+        """The +1/-1 outcome of each string on the path to a leaf code."""
+        return self._prefix[leaf]
+
+    def post_state(self, leaf: int) -> StateVector:
+        """The state after the measurements that end at a leaf code."""
+        amps = self._root
+        for s, o in zip(self.strings, self._prefix[leaf]):
+            applied, p_plus = _born(amps, s)
+            amps = _collapse(amps, applied, o, p_plus)
+        post = StateVector.__new__(StateVector)
+        post.n_qubits = self.n_qubits
+        post.amplitudes = amps
+        return post
+
+
 def sample_group(
     state: StateVector,
     strings: list[PauliString] | tuple[PauliString, ...],
@@ -169,36 +283,16 @@ def sample_group(
     """Measure a commuting group once, in order, with projective updates.
 
     One uniform variate is consumed per string, including deterministic
-    outcomes, so seeded streams stay aligned across runs.
+    outcomes, so seeded streams stay aligned across runs.  Repeated shots
+    on one state are cheaper through a `GroupSampler`.
     """
-    strings = tuple(strings)
-    if not strings:
-        raise ValidationError("empty measurement group")
-    for s in strings:
-        if s.n_qubits != state.n_qubits:
-            raise DimensionError("group string and state qubit counts differ")
-    for i in range(len(strings)):
-        for j in range(i + 1, len(strings)):
-            if not commutes(strings[i], strings[j]):
-                raise NonCommutingGroupError(
-                    f"{strings[i].letters} and {strings[j].letters} do not commute"
-                )
-    amps = state.amplitudes.copy()
-    outcomes = []
-    for s in strings:
-        applied = _apply_string(amps, s)
-        p_plus = 0.5 * (1.0 + float(np.real(np.vdot(amps, applied))))
-        p_plus = min(1.0, max(0.0, p_plus))
-        u = rng.random()
-        o = 1 if u < p_plus else -1
-        outcomes.append(o)
-        amps = 0.5 * (amps + o * applied)
-        p_o = p_plus if o == 1 else 1.0 - p_plus
-        amps /= np.sqrt(max(p_o, 1e-300))
-    post = StateVector.__new__(StateVector)
-    post.n_qubits = state.n_qubits
-    post.amplitudes = amps
-    return MeasurementRecord(strings=strings, outcomes=tuple(outcomes), post_state=post)
+    sampler = GroupSampler(state, strings)
+    leaf = int(sampler.draw(rng, 1)[0])
+    return MeasurementRecord(
+        strings=sampler.strings,
+        outcomes=sampler.outcomes(leaf),
+        post_state=sampler.post_state(leaf),
+    )
 
 
 def evolve_schedule(

@@ -8,7 +8,10 @@ repr floats, which lets the rerun tests compare files byte for byte.
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -651,6 +654,130 @@ class TestErrorHandling:
         with pytest.raises(SystemExit):
             with redirect_stderr(io.StringIO()):
                 main([])
+
+
+ADIABATIC_SMALL = {
+    "initial_hamiltonian": PAIR_1Q["initial"],
+    "problem_hamiltonian": PAIR_1Q["problem"],
+    "taus": [5.0],
+    "a_grid": {"points": 11},
+    "seed": 1,
+}
+UCC_2Q = {
+    "problem": {"hamiltonian": TWOSPIN},
+    "ansatz": {"kind": "fermionic_ucc", "occupied": [0]},
+    "seed": 1,
+}
+
+
+class TestFailClosed:
+    """Bad values exit 1 with one error line and write nothing."""
+
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            (
+                "adiabatic",
+                {**ADIABATIC_SMALL, "a_grid": {"points": 0}},
+                "a_grid.points: expected an integer >= 1",
+            ),
+            ("adiabatic", {**ADIABATIC_SMALL, "taus": 5}, "taus: expected a list"),
+            ("adiabatic", {**ADIABATIC_SMALL, "taus": [5.0, -1.0]}, "taus must be positive"),
+            (
+                "vqe",
+                {**UCC_2Q, "ansatz": {"kind": "fermionic_ucc", "occupied": "01"}},
+                "ansatz.occupied: expected a list",
+            ),
+            (
+                "vqe",
+                {**UCC_2Q, "ansatz": {"kind": "fermionic_ucc", "occupied": ["0"]}},
+                "ansatz.occupied[0]: expected an integer",
+            ),
+            ("vqe", {**UCC_2Q, "gap": float("nan")}, "gap: expected a finite number"),
+            ("certify", {"mean": float("inf"), "variance": 0.36}, "mean: expected a finite number"),
+            ("certify", {"mean": -2.8, "variance": "0.36"}, "variance: expected a finite number"),
+            (
+                "estimate",
+                {"hamiltonian": TWOSPIN, "state": {"label": "01"}, "plans": 5, "seed": 1},
+                "plans: expected a list",
+            ),
+            (
+                "estimate",
+                {"hamiltonian": TWOSPIN, "state": {"amplitudes": 5}, "seed": 1},
+                "state.amplitudes: expected a list",
+            ),
+            (
+                "estimate",
+                {"hamiltonian": {"n_qubits": 2, "terms": 5}, "state": {"label": "01"}, "seed": 1},
+                "terms must be a list",
+            ),
+            (
+                "estimate",
+                {"hamiltonian": TWOSPIN, "state": {"label": "01"}, "seed": 1.5},
+                "seed: expected an integer",
+            ),
+        ],
+    )
+    def test_bad_value(self, tmp_path, command, cfg, message):
+        path = write_config(tmp_path / "bad.json", cfg)
+        out = tmp_path / "o"
+        code, stdout, err = run_cli(command, "--config", path, "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            (
+                "estimate",
+                {"hamiltonian": TWOSPIN, "state": {"label": "01"}, "mode": "mle", "seed": 1},
+                "unknown mode 'mle'",
+            ),
+            (
+                "vqe",
+                {**UCC_2Q, "estimator": {"mode": "exact", "grouping": "bogus"}},
+                "unknown grouping 'bogus'",
+            ),
+        ],
+    )
+    def test_settings_unused_under_exact_are_still_checked(self, tmp_path, command, cfg, message):
+        path = write_config(tmp_path / "bad.json", cfg)
+        out = tmp_path / "o"
+        code, _, err = run_cli(command, "--config", path, "--exact", "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_non_finite_result_writes_nothing(self, tmp_path, monkeypatch):
+        # A certificate that comes out non-finite is an error, not an
+        # Infinity token in certificates.json.
+        monkeypatch.setattr(
+            "vqekit.bounds.weinstein_interval", lambda b: (-math.inf, math.inf)
+        )
+        path = write_config(tmp_path / "c.json", {"mean": -2.8, "variance": 0.36})
+        out = tmp_path / "o"
+        code, _, err = run_cli("certify", "--config", path, "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not out.exists()
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "vqekit", "certify", "--config",
+             str(CONFIGS / "certify.json"), "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "weinstein interval" in proc.stdout
+        report = json.loads((tmp_path / "certificates.json").read_text())
+        assert report["mean"] == -2.8
 
 
 class TestOutputResolution:

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from vqekit import (
+    GroupSampler,
     PauliString,
     PauliSum,
     StateVector,
@@ -15,6 +18,8 @@ from vqekit import (
     exact_eigensystem,
     expectation_and_variance,
     ground_state,
+    make_rng,
+    multiply,
     sample_group,
 )
 from vqekit.errors import (
@@ -157,6 +162,27 @@ class TestExpectation:
             _, var = expectation_and_variance(StateVector(vecs[:, k]), twospin)
             assert var == pytest.approx(0.0, abs=1e-10)
 
+    def test_near_eigenstate_variance_keeps_its_digits(self):
+        # cos(d) v0 + sin(d) v1 over eigenvectors has variance
+        # (E1 - E0)^2 cos^2(d) sin^2(d) exactly.  A large identity offset
+        # puts <H^2> near 1e6, so <H^2> - <H>^2 is lost to rounding there.
+        h = PauliSum.hermitian(
+            [(1000.0, "II"), (0.7, "ZI"), (-0.4, "XX"), (0.3, "YZ"), (0.2, "IX")]
+        )
+        vals, vecs = exact_eigensystem(h)
+        m = h.to_matrix()
+        for d in (1e-4, 1e-6, 1e-7):
+            v = np.cos(d) * vecs[:, 0] + np.sin(d) * vecs[:, 1]
+            want = ((vals[1] - vals[0]) * np.cos(d) * np.sin(d)) ** 2
+            mean, var = expectation_and_variance(StateVector(v), h)
+            # Rounding in H psi (about 1e3 * 1e-16) against a residual of
+            # norm 0.5 d: relative error near 1e-6 at d = 1e-7.
+            assert var == pytest.approx(want, rel=1e-4, abs=0.0)
+            mv = m @ v
+            subtracted = float(np.real(np.vdot(mv, mv))) - mean * mean
+            if d <= 1e-6:
+                assert abs(subtracted - want) > 0.1 * want
+
     def test_rejects_non_hermitian(self):
         h = PauliSum.from_terms([(1j, "X")])
         with pytest.raises(ValidationError):
@@ -272,6 +298,160 @@ class TestSampleGroup:
             sample_group(
                 StateVector.from_label("00"), [PauliString("X")], np.random.default_rng(0)
             )
+
+
+def oracle_sample_group(state, strings, rng):
+    """One sequential measurement per call: the per-shot loop GroupSampler
+    replaced, kept verbatim as the reference (P|psi> via the public
+    PauliString.action table)."""
+    strings = tuple(strings)
+    if not strings:
+        raise ValidationError("empty measurement group")
+    for s in strings:
+        if s.n_qubits != state.n_qubits:
+            raise DimensionError("group string and state qubit counts differ")
+    for i in range(len(strings)):
+        for j in range(i + 1, len(strings)):
+            if not commutes(strings[i], strings[j]):
+                raise NonCommutingGroupError(
+                    f"{strings[i].letters} and {strings[j].letters} do not commute"
+                )
+    amps = state.amplitudes.copy()
+    outcomes = []
+    for s in strings:
+        src, phases = s.action()
+        applied = amps[src] * phases
+        p_plus = 0.5 * (1.0 + float(np.real(np.vdot(amps, applied))))
+        p_plus = min(1.0, max(0.0, p_plus))
+        u = rng.random()
+        o = 1 if u < p_plus else -1
+        outcomes.append(o)
+        amps = 0.5 * (amps + o * applied)
+        p_o = p_plus if o == 1 else 1.0 - p_plus
+        amps /= np.sqrt(max(p_o, 1e-300))
+    return tuple(outcomes), amps
+
+
+def same_rng_state(a, b) -> bool:
+    """Bit-generator states compare equal (Philox keeps numpy arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_rng_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b))
+
+
+@st.composite
+def commuting_groups(draw):
+    """(state, group) with 1-4 commuting strings on up to 4 qubits.
+
+    Products of members and the identity are drawn too, so outcomes that
+    earlier ones fix (p_plus at or next to 0 or 1) are exercised; basis
+    states make such outcomes exactly deterministic.
+    """
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    group = []
+    for letters in draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=8)):
+        s = PauliString(letters)
+        if len(group) < k and all(commutes(s, t) for t in group):
+            group.append(s)
+        if len(group) >= 2 and len(group) < k and draw(st.booleans()):
+            group.append(multiply(group[0], group[-1])[1])
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        state = StateVector.basis(n, int(gen.integers(1 << n)))
+    else:
+        state = random_state(gen, n)
+    return state, group
+
+
+class TestGroupSampler:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        commuting_groups(),
+        st.lists(st.integers(0, 40), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_draw_matches_per_shot_loop(self, case, batches, seed, philox):
+        state, group = case
+        make = make_rng if philox else np.random.default_rng
+        r_loop, r_draw = make(seed), make(seed)
+        sampler = GroupSampler(state, group)
+        for shots in batches:
+            want = [oracle_sample_group(state, group, r_loop) for _ in range(shots)]
+            leaves = sampler.draw(r_draw, shots)
+            assert leaves.shape == (shots,)
+            assert [sampler.outcomes(leaf) for leaf in leaves] == [o for o, _ in want]
+            assert same_rng_state(r_loop.bit_generator.state, r_draw.bit_generator.state)
+            for leaf, (_, amps) in zip(leaves[:5], want):
+                assert np.array_equal(sampler.post_state(leaf).amplitudes, amps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(commuting_groups(), st.integers(0, 2**32 - 1))
+    def test_sample_group_is_one_draw(self, case, seed):
+        state, group = case
+        r_loop, r_one = make_rng(seed), make_rng(seed)
+        for _ in range(3):
+            outcomes, amps = oracle_sample_group(state, group, r_loop)
+            rec = sample_group(state, group, r_one)
+            assert rec.outcomes == outcomes
+            assert np.array_equal(rec.post_state.amplitudes, amps)
+        assert same_rng_state(r_loop.bit_generator.state, r_one.bit_generator.state)
+
+    @settings(max_examples=40, deadline=None)
+    @given(commuting_groups(), st.data())
+    def test_non_commuting_group_rejected_at_construction(self, case, data):
+        state, group = case
+        acting = [(s, q) for s in group for q, c in enumerate(s.letters) if c != "I"]
+        assume(acting)
+        s, q = data.draw(st.sampled_from(acting))
+        other = data.draw(st.sampled_from([c for c in "XYZ" if c != s.letters[q]]))
+        # One other letter on a qubit where s acts: anticommutes with s.
+        t = PauliString("I" * q + other + "I" * (s.n_qubits - q - 1))
+        with pytest.raises(NonCommutingGroupError):
+            GroupSampler(state, [*group, t])
+        with pytest.raises(NonCommutingGroupError):
+            oracle_sample_group(state, [*group, t], make_rng(0))
+
+    def test_deterministic_strings_consume_variates(self):
+        # Z twice on |0>: both outcomes are +1 with probability exactly 1.
+        r1, r2 = make_rng(3), make_rng(3)
+        sampler = GroupSampler(StateVector.from_label("0"), [PauliString("Z")] * 2)
+        leaves = sampler.draw(r1, 5)
+        assert [sampler.outcomes(leaf) for leaf in leaves] == [(1, 1)] * 5
+        r2.random(10)
+        assert same_rng_state(r1.bit_generator.state, r2.bit_generator.state)
+
+    def test_cache_reused_across_draws(self):
+        bell = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2))
+        sampler = GroupSampler(bell, [PauliString("ZI"), PauliString("IZ")])
+        first = set(sampler.draw(make_rng(1), 50).tolist())
+        again = set(sampler.draw(make_rng(2), 50).tolist())
+        assert first == again and len(first) == 2
+        assert {sampler.outcomes(leaf) for leaf in first} == {(1, 1), (-1, -1)}
+
+    def test_zero_shots_draw_nothing(self):
+        rng = make_rng(4)
+        before = rng.bit_generator.state
+        sampler = GroupSampler(StateVector.from_label("0"), [PauliString("X")])
+        assert sampler.draw(rng, 0).shape == (0,)
+        assert same_rng_state(before, rng.bit_generator.state)
+        with pytest.raises(ValidationError):
+            sampler.draw(rng, -1)
+
+    def test_construction_validates(self):
+        with pytest.raises(ValidationError):
+            GroupSampler(StateVector.from_label("0"), [])
+        with pytest.raises(DimensionError):
+            GroupSampler(StateVector.from_label("00"), [PauliString("X")])
+
+    def test_later_state_changes_do_not_leak_in(self):
+        state = StateVector(np.array([1, 1]) / np.sqrt(2))
+        sampler = GroupSampler(state, [PauliString("Z")])
+        state.amplitudes[:] = [1.0, 0.0]
+        outcomes = {sampler.outcomes(leaf) for leaf in sampler.draw(make_rng(5), 200)}
+        assert outcomes == {(1,), (-1,)}
 
 
 def two_qubit_pair():
