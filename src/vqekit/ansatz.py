@@ -234,8 +234,8 @@ def parameter_count(cfg: AnsatzConfig) -> int:
     return n * cfg.trotter_slices if cfg.relaxed else n
 
 
-def _exp_generator(state: StateVector, g: PauliSum, scale: float) -> StateVector:
-    """exp(scale * G) |psi> for anti-Hermitian G = i K, exactly.
+def _exp_generator(amps: np.ndarray, g: PauliSum, scale: float) -> np.ndarray:
+    """exp(scale * G) psi for anti-Hermitian G = i K, exactly.
 
     One X-mask group of G is D X^x with K Hermitian, so K^2 = diag(|D|^2)
     and exp(phi G) psi = cos(phi |D|) psi + (sin(phi |D|) / |D|) D psi[src]:
@@ -246,28 +246,16 @@ def _exp_generator(state: StateVector, g: PauliSum, scale: float) -> StateVector
     if not cg.antihermitian:
         raise ValidationError("generator is not anti-Hermitian")
     if len(cg.groups) > 1 and not cg.commuting:
-        return _exp_dense(state, g, scale)
-    amps = state.amplitudes
+        # U = exp(scale * iK) via eigendecomposition of the Hermitian K = -iG.
+        w, v = np.linalg.eigh(-1j * g.to_matrix())
+        return v @ (np.exp(1j * scale * w) * (v.conj().T @ amps))
     for src, diag in cg.groups:
         mag = np.abs(diag)
         angle = scale * mag
         # Entries with |D| = 0 have D = 0: the gathered term vanishes.
         gain = np.sin(angle) / np.where(mag > 0.0, mag, 1.0)
         amps = np.cos(angle) * amps + gain * diag * amps[src]
-    out = StateVector.__new__(StateVector)
-    out.n_qubits = state.n_qubits
-    out.amplitudes = amps
-    return out
-
-
-def _exp_dense(state: StateVector, g: PauliSum, scale: float) -> StateVector:
-    # U = exp(scale * iK) via eigendecomposition of the Hermitian K = -iG.
-    w, v = np.linalg.eigh(-1j * g.to_matrix())
-    amps = v @ (np.exp(1j * scale * w) * (v.conj().T @ state.amplitudes))
-    out = StateVector.__new__(StateVector)
-    out.n_qubits = state.n_qubits
-    out.amplitudes = amps
-    return out
+    return amps
 
 
 def prepare_state(
@@ -281,22 +269,22 @@ def prepare_state(
     want = parameter_count(cfg)
     if params.shape != (want,):
         raise ParameterError(f"expected {want} parameters, got shape {params.shape}")
-    state = ref.to_state()
+    amps = ref.to_state().amplitudes
     n_slices = cfg.trotter_slices
     if not cfg.relaxed:
         for _ in range(n_slices):
             for g, theta in zip(gens.generators, params):
                 if theta != 0.0:
-                    state = _exp_generator(state, g, theta / n_slices)
-        return state
-    blocks = params.reshape(n_slices, len(gens))
-    for t in range(n_slices):
-        combined = PauliSum.zero(gens.n_qubits)
-        for g, theta in zip(gens.generators, blocks[t]):
-            if theta != 0.0:
-                combined = combined + theta * g
-        state = _exp_generator(state, combined, 1.0)
-    return state
+                    amps = _exp_generator(amps, g, theta / n_slices)
+    else:
+        blocks = params.reshape(n_slices, len(gens))
+        for t in range(n_slices):
+            combined = PauliSum.zero(gens.n_qubits)
+            for g, theta in zip(gens.generators, blocks[t]):
+                if theta != 0.0:
+                    combined = combined + theta * g
+            amps = _exp_generator(amps, combined, 1.0)
+    return StateVector._unchecked(amps, gens.n_qubits)
 
 
 def canonicalize_reference(

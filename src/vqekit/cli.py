@@ -87,7 +87,7 @@ def _load_json(path: str):
 def _load_pauli_sum(source, base: Path, where: str) -> PauliSum:
     """A Hamiltonian is either a path to a JSON file or an inline object."""
     if isinstance(source, str):
-        data = _load_json(str((base / source) if not Path(source).is_absolute() else source))
+        data = _load_json(str(base / source))
     elif isinstance(source, dict):
         data = source
     else:
@@ -132,9 +132,7 @@ def _write_outputs(cfg: dict, override: str | None, base: Path, files: dict) -> 
     """Create the output directory and write every file; called last."""
     if override is None:
         override = _string(cfg.get("output_dir", "."), "output_dir")
-    p = Path(override)
-    if not p.is_absolute():
-        p = base / p
+    p = base / override
     p.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         (p / name).write_text(text, encoding="utf-8")
@@ -151,18 +149,14 @@ def _seed_of(cfg: dict, override: int | None) -> int:
 # ---------------------------------------------------------------- vqe
 
 
-def _build_problem(cfg: dict, base: Path):
+def _build_problem(cfg: dict, base: Path) -> PauliSum:
     _check_keys(cfg, "problem", set(), {"integrals", "hamiltonian"})
     if ("integrals" in cfg) == ("hamiltonian" in cfg):
         _fail("problem: give exactly one of integrals or hamiltonian")
     if "integrals" in cfg:
-        path = Path(cfg["integrals"])
-        if not path.is_absolute():
-            path = base / path
-        ints = load_integrals(str(path))
-        h = jordan_wigner(build_hamiltonian(ints)).simplify()
-        return h, ints
-    return _load_pauli_sum(cfg["hamiltonian"], base, "problem.hamiltonian"), None
+        path = base / _string(cfg["integrals"], "problem.integrals")
+        return jordan_wigner(build_hamiltonian(load_integrals(str(path))))
+    return _load_pauli_sum(cfg["hamiltonian"], base, "problem.hamiltonian")
 
 
 def _build_ansatz(cfg: dict, n_qubits: int):
@@ -266,7 +260,7 @@ def cmd_vqe(cfg: dict, out_override=None, seed_override=None, exact=False, base=
         {"estimator", "optimizer", "output_dir", "gap"},
     )
     seed = _seed_of(cfg, seed_override)
-    h, _ints = _build_problem(cfg["problem"], base)
+    h = _build_problem(cfg["problem"], base)
     ref, acfg = _build_ansatz(cfg["ansatz"], h.n_qubits)
 
     est_cfg = cfg.get("estimator", {})
@@ -405,20 +399,12 @@ def cmd_adiabatic(cfg: dict, out_override=None, seed_override=None, base=Path(".
     ]
     spec_header = ["A"] + [f"level_{k}" for k in range(levels.shape[1])]
 
+    study = _schedule.path_study(h_i, h_p, taus, family, objective, steps, n_switches)
     path_rows = []
     traj_rows = []
     success_rows = []
-    for tau in taus:
-        base_rec = _schedule.baseline_record(h_i, h_p, tau, steps)
-        opt_rec = _schedule.optimize_path(
-            family,
-            h_i,
-            h_p,
-            tau,
-            steps=steps,
-            objective=objective,
-            n_switches=n_switches,
-        )
+    for base_rec, opt_rec in zip(study.records[::2], study.records[1::2]):
+        tau = base_rec.tau
         t_grid = np.linspace(0.0, tau, 201)
         lin_sched = _schedule.Schedule.linear(tau)
         opt_sched = _schedule.make_schedule(family, tau, np.asarray(opt_rec.params))
@@ -501,15 +487,17 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
             plans.append((name, plan))
 
     lines = []
+    plan_text = []
     best = None
     for name, plan in plans:
-        plan.validate_against(h_meas)
         n_exp = _estimate.expected_preparations(plan, state, h_meas, epsilon)
         coeff = n_exp * epsilon * epsilon
         lines.append(f"plan {name}: {len(plan.groups)} groups")
+        plan_text.append(f"# plan {name}")
         dump = _estimate.format_plan(plan, h_meas)
         if dump:
             lines.append(dump)
+            plan_text.append(dump)
         lines.append(
             f"plan {name}: expected preparations {coeff:g}/epsilon^2 = {n_exp:g}"
         )
@@ -540,12 +528,6 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
         report_dict["seed"] = seed
         report_dict["truncated_terms"] = k_star
 
-    plan_text = []
-    for name, plan in plans:
-        plan_text.append(f"# plan {name}")
-        d = _estimate.format_plan(plan, h_meas)
-        if d:
-            plan_text.append(d)
     files = {"plan.txt": "\n".join(plan_text) + "\n"}
     if report_dict is not None:
         files["report.json"] = _json_text(report_dict)

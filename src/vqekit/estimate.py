@@ -175,11 +175,8 @@ class MeasurementPlan:
                 raise ValidationError("variance target must be positive")
 
     def validate_against(self, h: PauliSum) -> None:
-        expected = {
-            i for i, t in enumerate(h.terms) if not t.string.is_identity()
-        }
         got = {i for g in self.groups for i in g}
-        if got != expected:
+        if got != set(_measurable_indices(h)):
             raise ValidationError("plan does not cover the sum's non-identity terms")
         for g in self.groups:
             for a in range(len(g)):
@@ -420,6 +417,7 @@ class _LeafValues(dict):
 
 
 def _frequentist_group(sampler, coeffs, target, rng):
+    """(shots, sample mean, estimator variance) of the group's sum Q."""
     # The running moments stay plain floats between stopping-rule checks.
     qs = _LeafValues(sampler, coeffs)
     n, mean, sq_dev = 0, 0.0, 0.0
@@ -428,7 +426,7 @@ def _frequentist_group(sampler, coeffs, target, rng):
             n, mean, sq_dev = _welford(n, mean, sq_dev, qs[leaf])
         est = TermEstimator(mode="frequentist", n=n, mean=mean, sq_dev=sq_dev)
         if est.n >= MIN_SHOT_FLOOR and est.estimator_variance < target:
-            return est
+            return est.n, est.value, est.estimator_variance
 
 
 def _bayesian_group(sampler, coeffs, target, rng):
@@ -507,30 +505,18 @@ def estimate_expectation(
     else:
         target = epsilon * epsilon / len(plan.groups)
 
+    measure_group = _frequentist_group if mode == "frequentist" else _bayesian_group
     reports = []
     densities = []
     for g in plan.groups:
         sampler = GroupSampler(state, [h.terms[i].string for i in g])
         coeffs = np.array([float(np.real(h.terms[i].coeff)) for i in g])
-        if mode == "frequentist":
-            est = _frequentist_group(sampler, coeffs, target, rng)
-            reports.append(
-                GroupReport(
-                    indices=g,
-                    value=est.value,
-                    estimator_variance=est.estimator_variance,
-                    preparations=est.n,
-                )
-            )
-        else:
-            n, value, var = _bayesian_group(sampler, coeffs, target, rng)
-            reports.append(
-                GroupReport(
-                    indices=g, value=value, estimator_variance=var, preparations=n
-                )
-            )
-            if credible_level is not None and np.any(coeffs):
-                densities.append(_group_density(coeffs, value, var))
+        n, value, var = measure_group(sampler, coeffs, target, rng)
+        reports.append(
+            GroupReport(indices=g, value=value, estimator_variance=var, preparations=n)
+        )
+        if mode == "bayesian" and credible_level is not None and np.any(coeffs):
+            densities.append(_group_density(coeffs, value, var))
 
     interval = None
     if mode == "bayesian" and credible_level is not None and densities:

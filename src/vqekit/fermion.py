@@ -231,6 +231,9 @@ class IntegralSet:
         m = self.n_modes
         if self.one_body.shape != (m, m) or self.two_body.shape != (m, m, m, m):
             raise ValidationError("integral array shapes do not match n_modes")
+        arrays = (self.one_body, self.two_body, self.core)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ValidationError("integrals must be finite")
         if np.max(np.abs(self.one_body - self.one_body.T)) > atol:
             raise ValidationError("one-body integrals are not symmetric")
         # h_pqrs must equal h_qpsr (simultaneous p<->q, r<->s relabeling).
@@ -267,6 +270,8 @@ def load_integrals(path: str) -> IntegralSet:
         core = float(parts[3])
     except ValueError as exc:
         raise ValidationError(f"{path}:1: bad header numbers") from exc
+    if not np.isfinite(core):
+        raise ValidationError(f"{path}:1: core must be finite, got {parts[3]!r}")
     if m < 1:
         raise ValidationError(f"{path}:1: mode count must be positive, got {m}")
     one = np.zeros((m, m))
@@ -284,6 +289,8 @@ def load_integrals(path: str) -> IntegralSet:
             p, q, r, s = (int(x) for x in fields[1:])
         except ValueError as exc:
             raise ValidationError(f"{path}:{k}: bad numbers") from exc
+        if not np.isfinite(val):
+            raise ValidationError(f"{path}:{k}: value must be finite, got {fields[0]!r}")
         if r == 0 and s == 0:
             if not (1 <= p <= m and 1 <= q <= m):
                 raise ValidationError(f"{path}:{k}: one-body index out of range")

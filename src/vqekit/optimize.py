@@ -48,9 +48,8 @@ _SHRINK = 0.5
 class Objective:
     """Callable wrapper that counts evaluations and keeps a value trace."""
 
-    def __init__(self, fn, noise_sd: float = 0.0):
+    def __init__(self, fn):
         self.fn = fn
-        self.noise_sd = float(noise_sd)
         self.count = 0
         self.trace: list[tuple[int, float]] = []
 
@@ -70,13 +69,8 @@ class OptResult:
     trace: list[tuple[int, float]] = field(repr=False, default_factory=list)
 
 
-def _initial_simplex(x0: np.ndarray, step) -> np.ndarray:
-    d = x0.size
-    simplex = np.tile(x0, (d + 1, 1))
-    for i in range(d):
-        s = step[i] if step is not None else max(0.05, 0.05 * abs(x0[i]))
-        simplex[i + 1, i] += s
-    return simplex
+class _BudgetSpent(Exception):
+    """Raised by the evaluation that spends the budget; it ends the run."""
 
 
 def nelder_mead(
@@ -85,7 +79,6 @@ def nelder_mead(
     tol: float = 1e-8,
     max_evals: int = 400,
     restarts: int = 0,
-    initial_step=None,
 ) -> OptResult:
     """Minimize fn by the standard Nelder-Mead iteration.
 
@@ -100,95 +93,64 @@ def nelder_mead(
         raise ValidationError("x0 must be non-empty")
     if max_evals < x0.size + 1:
         raise ValidationError("max_evals cannot cover the initial simplex")
-    if initial_step is not None:
-        initial_step = np.asarray(initial_step, dtype=float).ravel()
-        if initial_step.size != x0.size:
-            raise ValidationError("initial_step length differs from x0")
     trace_start = len(obj.trace)
     best_x = None
     best_f = np.inf
 
-    def track(x, f):
+    def evaluate(x):
+        # The one budget check: the evaluation that spends max_evals ends
+        # the run before any further simplex step or spread test.
         nonlocal best_x, best_f
+        f = obj(x)
         if f < best_f:
             best_f = f
             best_x = x.copy()
+        if len(obj.trace) - trace_start >= max_evals:
+            raise _BudgetSpent
+        return f
 
-    budget = max_evals
     converged = False
     center = x0
-    step = initial_step
-    for round_idx in range(restarts + 1):
-        if budget <= 0:
-            break
-        this_step = None
-        if step is not None:
-            this_step = step / (2.0**round_idx)
-        elif round_idx > 0:
-            this_step = np.array(
-                [max(0.05, 0.05 * abs(v)) for v in center]
-            ) / (2.0**round_idx)
-        simplex = _initial_simplex(center, this_step)
-        fvals = []
-        for p in simplex:
-            if budget <= 0:
-                break
-            v = obj(p)
-            budget -= 1
-            track(p, v)
-            fvals.append(v)
-        if len(fvals) < simplex.shape[0]:
-            break
-        fvals = np.array(fvals)
-        converged_round = False
-        while budget > 0:
-            order = np.argsort(fvals, kind="stable")
-            simplex = simplex[order]
-            fvals = fvals[order]
-            if fvals[-1] - fvals[0] < tol:
-                converged_round = True
-                break
-            centroid = simplex[:-1].mean(axis=0)
-            xr = centroid + _REFLECT * (centroid - simplex[-1])
-            fr = obj(xr)
-            budget -= 1
-            track(xr, fr)
-            if fr < fvals[0]:
-                if budget > 0:
+    try:
+        for round_idx in range(restarts + 1):
+            simplex = np.tile(center, (center.size + 1, 1))
+            for i, v in enumerate(center):
+                simplex[i + 1, i] += max(0.05, 0.05 * abs(v)) / 2.0**round_idx
+            fvals = np.array([evaluate(p) for p in simplex])
+            while True:
+                order = np.argsort(fvals, kind="stable")
+                simplex = simplex[order]
+                fvals = fvals[order]
+                if fvals[-1] - fvals[0] < tol:
+                    break
+                centroid = simplex[:-1].mean(axis=0)
+                xr = centroid + _REFLECT * (centroid - simplex[-1])
+                fr = evaluate(xr)
+                if fr < fvals[0]:
                     xe = centroid + _EXPAND * (xr - centroid)
-                    fe = obj(xe)
-                    budget -= 1
-                    track(xe, fe)
+                    fe = evaluate(xe)
                     if fe < fr:
                         simplex[-1], fvals[-1] = xe, fe
-                        continue
-                simplex[-1], fvals[-1] = xr, fr
-            elif fr < fvals[-2]:
-                simplex[-1], fvals[-1] = xr, fr
-            else:
-                if fr < fvals[-1]:
-                    xc = centroid + _CONTRACT * (xr - centroid)
+                    else:
+                        simplex[-1], fvals[-1] = xr, fr
+                elif fr < fvals[-2]:
+                    simplex[-1], fvals[-1] = xr, fr
                 else:
-                    xc = centroid - _CONTRACT * (centroid - simplex[-1])
-                if budget <= 0:
-                    break
-                fc = obj(xc)
-                budget -= 1
-                track(xc, fc)
-                if fc < min(fr, fvals[-1]):
-                    simplex[-1], fvals[-1] = xc, fc
-                else:
-                    for i in range(1, simplex.shape[0]):
-                        if budget <= 0:
-                            break
-                        simplex[i] = simplex[0] + _SHRINK * (simplex[i] - simplex[0])
-                        fvals[i] = obj(simplex[i])
-                        budget -= 1
-                        track(simplex[i], fvals[i])
-        if not converged_round:
-            break
-        converged = True
-        center = best_x
+                    if fr < fvals[-1]:
+                        xc = centroid + _CONTRACT * (xr - centroid)
+                    else:
+                        xc = centroid - _CONTRACT * (centroid - simplex[-1])
+                    fc = evaluate(xc)
+                    if fc < min(fr, fvals[-1]):
+                        simplex[-1], fvals[-1] = xc, fc
+                    else:
+                        for i in range(1, simplex.shape[0]):
+                            simplex[i] = simplex[0] + _SHRINK * (simplex[i] - simplex[0])
+                            fvals[i] = evaluate(simplex[i])
+            converged = True
+            center = best_x
+    except _BudgetSpent:
+        pass
     trace = obj.trace[trace_start:]
     return OptResult(
         x=best_x,
@@ -226,19 +188,17 @@ def multistart(
         # starts are seeds for local searches, so that is irrelevant here.
         warnings.simplefilter("ignore", UserWarning)
         starts = lo + sob.random(n_starts) * (hi - lo)
-    best = None
-    any_converged = False
-    for x0 in starts:
-        res = nelder_mead(obj, x0, tol=tol, max_evals=max_evals, restarts=restarts)
-        any_converged = any_converged or res.converged
-        if best is None or res.value < best.value:
-            best = res
+    runs = [
+        nelder_mead(obj, x0, tol=tol, max_evals=max_evals, restarts=restarts)
+        for x0 in starts
+    ]
+    best = min(runs, key=lambda r: r.value)  # the first of equal optima
     trace = obj.trace[trace_start:]
     return OptResult(
         x=best.x,
         value=best.value,
         evaluations=len(trace),
-        converged=any_converged,
+        converged=any(r.converged for r in runs),
         trace=trace,
     )
 

@@ -361,6 +361,9 @@ class PauliSum:
             extra = set(entry) - {"coeff", "paulis"}
             if extra:
                 raise ValidationError(f"term {i}: unknown keys {sorted(extra)}")
+            missing = {"coeff", "paulis"} - set(entry)
+            if missing:
+                raise ValidationError(f"term {i}: missing keys {sorted(missing)}")
             coeff = entry["coeff"]
             real = isinstance(coeff, (int, float)) and not isinstance(coeff, bool)
             if not (real and math.isfinite(coeff)):

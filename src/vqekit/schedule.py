@@ -17,14 +17,19 @@ import numpy as np
 
 from .errors import ValidationError
 from .pauli import PauliSum
-from .simulator import StateVector, evolve_schedule, exact_eigensystem, ground_state
+from .simulator import (
+    StateVector,
+    evolve_schedule,
+    exact_eigensystem,
+    expectation_and_variance,
+    ground_state,
+)
 from . import optimize as _opt
 
 __all__ = [
     "Schedule",
     "PathRecord",
     "PathStudyResult",
-    "evaluate",
     "spectrum_along_path",
     "success_probability",
     "make_schedule",
@@ -35,6 +40,14 @@ __all__ = [
 # Spline knot abscissae as fractions of tau, from the two-parameter family.
 _KNOT_LO = 0.15
 _KNOT_HI = 0.85
+# Overlap samples along a recorded path, both ends included.
+TRAJECTORY_POINTS = 201
+
+
+def _check_tau(tau) -> None:
+    # NaN passes `tau <= 0`, and a NaN tau evolves to a NaN state.
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValidationError(f"tau must be finite and positive, got {tau!r}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +62,7 @@ class Schedule:
     _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValidationError("tau must be positive")
+        _check_tau(self.tau)
         if self.variant == "linear":
             (theta1,) = self.theta
             if theta1 * self.tau < 1.0 - 1e-12:
@@ -76,8 +88,7 @@ class Schedule:
 
     @classmethod
     def linear(cls, tau: float, theta1: float | None = None) -> "Schedule":
-        if tau <= 0:
-            raise ValidationError("tau must be positive")
+        _check_tau(tau)
         if theta1 is None:
             theta1 = 1.0 / tau
         return cls(variant="linear", tau=tau, theta=(float(theta1),))
@@ -112,10 +123,6 @@ class Schedule:
         return float(g) if g.ndim == 0 else g
 
 
-def evaluate(sched: Schedule, t):
-    return sched.evaluate(t)
-
-
 @dataclass(frozen=True)
 class PathRecord:
     tau: float
@@ -139,15 +146,19 @@ def spectrum_along_path(h_i: PauliSum, h_p: PauliSum, a_grid) -> np.ndarray:
     mp = h_p.to_matrix()
     if mi.shape != mp.shape:
         raise ValidationError("Hamiltonians act on different qubit counts")
+    if not (h_i.is_hermitian() and h_p.is_hermitian()):
+        raise ValidationError("spectrum requires Hermitian Hamiltonians")
     hams = a_grid[:, None, None] * mi + (1.0 - a_grid)[:, None, None] * mp
     return np.linalg.eigvalsh(hams)
 
 
-def _target_ground(h_p: PauliSum) -> StateVector:
+def _endpoints(h_i: PauliSum, h_p: PauliSum) -> tuple[StateVector, StateVector]:
+    """The ground state of H_i and the non-degenerate ground state of H_p."""
     vals, vecs = exact_eigensystem(h_p)
     if vals.size > 1 and vals[1] - vals[0] <= 1e-8:
         raise ValidationError("target ground state is degenerate")
-    return StateVector(vecs[:, 0], copy=True)
+    target = StateVector(vecs[:, 0], copy=True)
+    return ground_state(h_i)[1], target
 
 
 def _default_steps(tau: float) -> int:
@@ -161,8 +172,7 @@ def success_probability(
     steps: int | None = None,
 ) -> float:
     """P(ground of H_p) after evolving the ground of H_i along the schedule."""
-    target = _target_ground(h_p)
-    _, start = ground_state(h_i)
+    start, target = _endpoints(h_i, h_p)
     steps = steps if steps is not None else _default_steps(sched.tau)
     final = evolve_schedule(start, sched, h_i, h_p, sched.tau, steps)
     return final.fidelity(target)
@@ -190,6 +200,31 @@ def _initial_params(family: str, tau: float, n_switches: int) -> np.ndarray:
     raise ValidationError(f"unknown schedule family {family!r}")
 
 
+def _record_path(sched, params, evaluations, h_i, h_p, steps, start, target) -> PathRecord:
+    """Evolve along sched, sampling the overlap with target on a fixed stride."""
+    tau = sched.tau
+    stride = max(1, steps // (TRAJECTORY_POINTS - 1))
+    s_samples = [0.0]
+    overlaps = [start.fidelity(target)]
+
+    def record(t, state):
+        k = round(t / (tau / steps))
+        if k % stride == 0 or k == steps:
+            s_samples.append(t / tau)
+            overlaps.append(state.fidelity(target))
+
+    final = evolve_schedule(start, sched, h_i, h_p, tau, steps, callback=record)
+    return PathRecord(
+        tau=tau,
+        family=sched.variant,
+        params=params,
+        success=final.fidelity(target),
+        evaluations=evaluations,
+        trajectory_s=np.asarray(s_samples),
+        trajectory_overlap=np.asarray(overlaps),
+    )
+
+
 def optimize_path(
     family: str,
     h_i: PauliSum,
@@ -199,7 +234,6 @@ def optimize_path(
     objective: str = "energy",
     optimizer=None,
     n_switches: int = 2,
-    trajectory_points: int = 201,
 ) -> PathRecord:
     """Tune a schedule family's free parameters at fixed tau.
 
@@ -211,15 +245,12 @@ def optimize_path(
     if objective not in ("energy", "infidelity"):
         raise ValidationError(f"unknown objective {objective!r}")
     steps = steps if steps is not None else _default_steps(tau)
-    target = _target_ground(h_p)
-    _, start = ground_state(h_i)
+    start, target = _endpoints(h_i, h_p)
 
     def run(params: np.ndarray) -> float:
         sched = make_schedule(family, tau, params)
         final = evolve_schedule(start, sched, h_i, h_p, tau, steps)
         if objective == "energy":
-            from .simulator import expectation_and_variance
-
             return expectation_and_variance(final, h_p)[0]
         return 1.0 - final.fidelity(target)
 
@@ -230,26 +261,8 @@ def optimize_path(
         res = optimizer(run, x0)
     best = np.asarray(res.x, dtype=float)
     sched = make_schedule(family, tau, best)
-    stride = max(1, steps // max(1, trajectory_points - 1))
-    s_samples = [0.0]
-    overlaps = [start.fidelity(target)]
-
-    def record(t, state):
-        k = round(t / (tau / steps))
-        if k % stride == 0 or k == steps:
-            s_samples.append(t / tau)
-            overlaps.append(state.fidelity(target))
-
-    final = evolve_schedule(start, sched, h_i, h_p, tau, steps, callback=record)
-    return PathRecord(
-        tau=tau,
-        family=family,
-        params=tuple(float(v) for v in best),
-        success=final.fidelity(target),
-        evaluations=res.evaluations,
-        trajectory_s=np.asarray(s_samples),
-        trajectory_overlap=np.asarray(overlaps),
-    )
+    params = tuple(float(v) for v in best)
+    return _record_path(sched, params, res.evaluations, h_i, h_p, steps, start, target)
 
 
 def baseline_record(
@@ -257,32 +270,12 @@ def baseline_record(
     h_p: PauliSum,
     tau: float,
     steps: int | None = None,
-    trajectory_points: int = 201,
 ) -> PathRecord:
     """The un-optimized linear path at this tau, for comparison columns."""
     steps = steps if steps is not None else _default_steps(tau)
-    target = _target_ground(h_p)
-    _, start = ground_state(h_i)
-    sched = Schedule.linear(tau)
-    stride = max(1, steps // max(1, trajectory_points - 1))
-    s_samples = [0.0]
-    overlaps = [start.fidelity(target)]
-
-    def record(t, state):
-        k = round(t / (tau / steps))
-        if k % stride == 0 or k == steps:
-            s_samples.append(t / tau)
-            overlaps.append(state.fidelity(target))
-
-    final = evolve_schedule(start, sched, h_i, h_p, tau, steps, callback=record)
-    return PathRecord(
-        tau=tau,
-        family="linear",
-        params=(1.0 / tau,),
-        success=final.fidelity(target),
-        evaluations=1,
-        trajectory_s=np.asarray(s_samples),
-        trajectory_overlap=np.asarray(overlaps),
+    start, target = _endpoints(h_i, h_p)
+    return _record_path(
+        Schedule.linear(tau), (1.0 / tau,), 1, h_i, h_p, steps, start, target
     )
 
 

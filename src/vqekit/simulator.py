@@ -53,6 +53,15 @@ class StateVector:
         self.amplitudes = amps
 
     @classmethod
+    def _unchecked(cls, amplitudes: np.ndarray, n_qubits: int) -> "StateVector":
+        """Wrap amplitudes without a check or a copy: only for vectors made
+        from a valid state by a unitary or a normalized projection."""
+        out = cls.__new__(cls)
+        out.n_qubits = n_qubits
+        out.amplitudes = amplitudes
+        return out
+
+    @classmethod
     def basis(cls, n_qubits: int, index: int) -> "StateVector":
         if not 0 <= index < (1 << n_qubits):
             raise ValidationError(f"basis index {index} out of range")
@@ -107,10 +116,7 @@ def _apply_string(amps: np.ndarray, s: PauliString) -> np.ndarray:
 def apply_pauli_string(state: StateVector, s: PauliString) -> StateVector:
     if s.n_qubits != state.n_qubits:
         raise DimensionError("string and state qubit counts differ")
-    out = StateVector.__new__(StateVector)
-    out.n_qubits = state.n_qubits
-    out.amplitudes = _apply_string(state.amplitudes, s)
-    return out
+    return StateVector._unchecked(_apply_string(state.amplitudes, s), state.n_qubits)
 
 
 def apply_pauli_exponential(state: StateVector, s: PauliString, theta: float) -> StateVector:
@@ -121,10 +127,7 @@ def apply_pauli_exponential(state: StateVector, s: PauliString, theta: float) ->
     amps = np.cos(theta) * state.amplitudes + 1j * np.sin(theta) * _apply_string(
         state.amplitudes, s
     )
-    out = StateVector.__new__(StateVector)
-    out.n_qubits = state.n_qubits
-    out.amplitudes = amps
-    return out
+    return StateVector._unchecked(amps, state.n_qubits)
 
 
 def expectation_and_variance(state: StateVector, h: PauliSum) -> tuple[float, float]:
@@ -269,10 +272,7 @@ class GroupSampler:
         for s, o in zip(self.strings, self._prefix[leaf]):
             applied, p_plus = _born(amps, s)
             amps = _collapse(amps, applied, o, p_plus)
-        post = StateVector.__new__(StateVector)
-        post.n_qubits = self.n_qubits
-        post.amplitudes = amps
-        return post
+        return StateVector._unchecked(amps, self.n_qubits)
 
 
 def sample_group(
@@ -310,8 +310,8 @@ def evolve_schedule(
     eigendecomposition; global error is O((tau/steps)^2).  `callback(t, state)`,
     if given, is invoked after every step.
     """
-    if tau <= 0:
-        raise ValidationError("tau must be positive")
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValidationError(f"tau must be finite and positive, got {tau!r}")
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     if h_i.n_qubits != h_p.n_qubits or h_i.n_qubits != s0.n_qubits:
@@ -332,11 +332,5 @@ def evolve_schedule(
         vk = v[k]
         amps = vk @ (np.exp(-1j * w[k] * dt) * (vk.conj().T @ amps))
         if callback is not None:
-            snap = StateVector.__new__(StateVector)
-            snap.n_qubits = s0.n_qubits
-            snap.amplitudes = amps.copy()
-            callback((k + 1) * dt, snap)
-    out = StateVector.__new__(StateVector)
-    out.n_qubits = s0.n_qubits
-    out.amplitudes = amps
-    return out
+            callback((k + 1) * dt, StateVector._unchecked(amps.copy(), s0.n_qubits))
+    return StateVector._unchecked(amps, s0.n_qubits)

@@ -716,6 +716,21 @@ class TestFailClosed:
                 {"hamiltonian": TWOSPIN, "state": {"label": "01"}, "seed": 1.5},
                 "seed: expected an integer",
             ),
+            (
+                "vqe",
+                {**UCC_2Q, "problem": {"integrals": 5}},
+                "problem.integrals: expected a string, got 5",
+            ),
+            (
+                "certify",
+                {"hamiltonian": {"n_qubits": 2, "terms": [{"paulis": "XX"}]}, "state": {"label": "01"}},
+                "term 0: missing keys ['coeff']",
+            ),
+            (
+                "estimate",
+                {"hamiltonian": {"n_qubits": 2, "terms": [{"coeff": 1.0}]}, "state": {"label": "01"}, "seed": 1},
+                "term 0: missing keys ['paulis']",
+            ),
         ],
     )
     def test_bad_value(self, tmp_path, command, cfg, message):
@@ -748,6 +763,26 @@ class TestFailClosed:
         code, _, err = run_cli(command, "--config", path, "--exact", "--out", str(out))
         assert code == 1
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # A NaN core used to be dropped: the run wrote a shifted energy.
+            ("M 2 CORE nan\n-0.5 1 1 0 0\n-0.5 2 2 0 0\n", "h.ints:1: core must be finite"),
+            # inf - inf is NaN, which passed the symmetry check.
+            ("M 2 CORE 0.0\ninf 1 1 0 0\n-0.5 2 2 0 0\n", "h.ints:2: value must be finite"),
+        ],
+    )
+    def test_non_finite_integrals(self, tmp_path, body, message):
+        (tmp_path / "h.ints").write_text(body)
+        cfg = {**UCC_2Q, "problem": {"integrals": "h.ints"}}
+        path = write_config(tmp_path / "bad.json", cfg)
+        out = tmp_path / "o"
+        code, stdout, err = run_cli("vqe", "--config", path, "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err and stdout == ""
         assert not out.exists()
 
     def test_non_finite_result_writes_nothing(self, tmp_path, monkeypatch):

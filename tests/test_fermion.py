@@ -306,6 +306,35 @@ class TestIntegralFile:
             with pytest.raises(ValidationError):
                 load_integrals(str(path))
 
+    def test_non_finite_values_rejected(self, tmp_path):
+        # A NaN core used to drop silently, and inf - inf = NaN passed the
+        # symmetry check; each is now reported at its line.
+        cases = [
+            ("M 2 CORE nan\n-0.5 1 1 0 0\n", ":1: core must be finite"),
+            ("M 2 CORE 0.0\n-0.5 1 1 0 0\ninf 2 2 0 0\n", ":3: value must be finite"),
+            ("M 2 CORE 0.0\n-inf 1 1 2 2\n", ":2: value must be finite"),
+        ]
+        for k, (body, where) in enumerate(cases):
+            path = tmp_path / f"bad{k}.ints"
+            path.write_text(body)
+            with pytest.raises(ValidationError, match=where):
+                load_integrals(str(path))
+
+    def test_validate_rejects_non_finite_arrays(self):
+        one, two = np.zeros((2, 2)), np.zeros((2, 2, 2, 2))
+        bad_one, bad_two = one.copy(), two.copy()
+        bad_one[0, 1] = bad_one[1, 0] = np.inf
+        bad_two[0, 1, 1, 0] = bad_two[1, 0, 0, 1] = np.nan
+        for ints in (
+            IntegralSet(n_modes=2, one_body=bad_one, two_body=two, core=0.0),
+            IntegralSet(n_modes=2, one_body=one, two_body=bad_two, core=0.0),
+            IntegralSet(n_modes=2, one_body=one, two_body=two, core=float("nan")),
+        ):
+            with pytest.raises(ValidationError, match="integrals must be finite"):
+                ints.validate()
+            with pytest.raises(ValidationError, match="integrals must be finite"):
+                build_hamiltonian(ints)
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "ok.ints"
         path.write_text(

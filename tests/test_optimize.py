@@ -1,13 +1,18 @@
 """Simplex optimizer, multistart, and the noisy benchmark harness."""
 
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import qmc
 
+import vqekit.optimize
 from vqekit import (
     Objective,
+    OptResult,
     multistart,
     nelder_mead,
     noisy_benchmark,
@@ -36,12 +41,6 @@ class TestObjective:
         assert obj.count == 3
         assert [i for i, _ in obj.trace] == [0, 1, 2]
         assert [v for _, v in obj.trace] == [1.0, 4.0, 9.0]
-
-    def test_declared_noise_is_metadata(self):
-        # the wrapper never perturbs values itself; callers add noise
-        obj = Objective(quadratic([0.0]), noise_sd=0.5)
-        assert obj(np.array([2.0])) == 4.0
-        assert obj.noise_sd == 0.5
 
 
 class TestNelderMead:
@@ -86,8 +85,6 @@ class TestNelderMead:
             nelder_mead(quadratic([0.0]), np.array([]))
         with pytest.raises(ValidationError):
             nelder_mead(quadratic([0.0, 0.0]), np.zeros(2), max_evals=2)
-        with pytest.raises(ValidationError):
-            nelder_mead(quadratic([0.0, 0.0]), np.zeros(2), initial_step=[0.1])
 
     def test_shared_objective_extends_trace(self):
         obj = Objective(quadratic([1.0]))
@@ -95,6 +92,225 @@ class TestNelderMead:
         second = nelder_mead(obj, np.array([2.0]), max_evals=30)
         assert obj.count == first.evaluations + second.evaluations
         assert len(second.trace) == second.evaluations
+
+
+# The simplex loop nelder_mead replaced, kept verbatim as the reference: it
+# checks the budget at each of six places and tracks the best point at each
+# of five evaluation sites, where nelder_mead now has one of each.
+_REFLECT = 1.0
+_EXPAND = 2.0
+_CONTRACT = 0.5
+_SHRINK = 0.5
+
+
+def _initial_simplex(x0, step):
+    d = x0.size
+    simplex = np.tile(x0, (d + 1, 1))
+    for i in range(d):
+        s = step[i] if step is not None else max(0.05, 0.05 * abs(x0[i]))
+        simplex[i + 1, i] += s
+    return simplex
+
+
+def oracle_nelder_mead(
+    fn,
+    x0,
+    tol: float = 1e-8,
+    max_evals: int = 400,
+    restarts: int = 0,
+    initial_step=None,
+):
+    obj = fn if isinstance(fn, Objective) else Objective(fn)
+    x0 = np.asarray(x0, dtype=float).ravel()
+    if x0.size == 0:
+        raise ValidationError("x0 must be non-empty")
+    if max_evals < x0.size + 1:
+        raise ValidationError("max_evals cannot cover the initial simplex")
+    if initial_step is not None:
+        initial_step = np.asarray(initial_step, dtype=float).ravel()
+        if initial_step.size != x0.size:
+            raise ValidationError("initial_step length differs from x0")
+    trace_start = len(obj.trace)
+    best_x = None
+    best_f = np.inf
+
+    def track(x, f):
+        nonlocal best_x, best_f
+        if f < best_f:
+            best_f = f
+            best_x = x.copy()
+
+    budget = max_evals
+    converged = False
+    center = x0
+    step = initial_step
+    for round_idx in range(restarts + 1):
+        if budget <= 0:
+            break
+        this_step = None
+        if step is not None:
+            this_step = step / (2.0**round_idx)
+        elif round_idx > 0:
+            this_step = np.array(
+                [max(0.05, 0.05 * abs(v)) for v in center]
+            ) / (2.0**round_idx)
+        simplex = _initial_simplex(center, this_step)
+        fvals = []
+        for p in simplex:
+            if budget <= 0:
+                break
+            v = obj(p)
+            budget -= 1
+            track(p, v)
+            fvals.append(v)
+        if len(fvals) < simplex.shape[0]:
+            break
+        fvals = np.array(fvals)
+        converged_round = False
+        while budget > 0:
+            order = np.argsort(fvals, kind="stable")
+            simplex = simplex[order]
+            fvals = fvals[order]
+            if fvals[-1] - fvals[0] < tol:
+                converged_round = True
+                break
+            centroid = simplex[:-1].mean(axis=0)
+            xr = centroid + _REFLECT * (centroid - simplex[-1])
+            fr = obj(xr)
+            budget -= 1
+            track(xr, fr)
+            if fr < fvals[0]:
+                if budget > 0:
+                    xe = centroid + _EXPAND * (xr - centroid)
+                    fe = obj(xe)
+                    budget -= 1
+                    track(xe, fe)
+                    if fe < fr:
+                        simplex[-1], fvals[-1] = xe, fe
+                        continue
+                simplex[-1], fvals[-1] = xr, fr
+            elif fr < fvals[-2]:
+                simplex[-1], fvals[-1] = xr, fr
+            else:
+                if fr < fvals[-1]:
+                    xc = centroid + _CONTRACT * (xr - centroid)
+                else:
+                    xc = centroid - _CONTRACT * (centroid - simplex[-1])
+                if budget <= 0:
+                    break
+                fc = obj(xc)
+                budget -= 1
+                track(xc, fc)
+                if fc < min(fr, fvals[-1]):
+                    simplex[-1], fvals[-1] = xc, fc
+                else:
+                    for i in range(1, simplex.shape[0]):
+                        if budget <= 0:
+                            break
+                        simplex[i] = simplex[0] + _SHRINK * (simplex[i] - simplex[0])
+                        fvals[i] = obj(simplex[i])
+                        budget -= 1
+                        track(simplex[i], fvals[i])
+        if not converged_round:
+            break
+        converged = True
+        center = best_x
+    trace = obj.trace[trace_start:]
+    return OptResult(
+        x=best_x,
+        value=best_f,
+        evaluations=len(trace),
+        converged=converged,
+        trace=trace,
+    )
+
+
+def _landscape(kind, d, seed):
+    """A fresh objective; "noisy" draws from its own seeded stream per call."""
+    gen = np.random.default_rng(seed)
+    center = gen.uniform(-2.0, 2.0, d)
+    if kind == "quadratic":
+        return quadratic(center)
+    if kind == "rosenbrock":
+        return lambda x: float(
+            np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2) + x[0] ** 2
+        )
+    if kind == "terraced":
+        # Plateaus give exact ties and zero spreads; coarse steps force shrinks.
+        return lambda x: float(np.round(np.sum(np.abs(x - center)), 1))
+    noise = np.random.default_rng(seed + 1)
+    return lambda x: float(np.sum((x - center) ** 2) + noise.normal(0.0, 0.05))
+
+
+def assert_same_result(got, want):
+    if want.x is None:
+        assert got.x is None
+    else:
+        assert np.array_equal(got.x, want.x)
+    assert got.value == want.value
+    assert got.evaluations == want.evaluations
+    assert got.converged == want.converged
+    assert got.trace == want.trace
+
+
+run_settings = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["quadratic", "rosenbrock", "terraced", "noisy"]),
+        "d": st.integers(1, 5),
+        "seed": st.integers(0, 2**31),
+        "slack": st.integers(0, 399),
+        "restarts": st.sampled_from([0, 1, 3]),
+        "tol": st.sampled_from([0.0, 1e-12, 1e-6, 1e9]),
+    }
+)
+
+
+class TestNelderMeadOracle:
+    """nelder_mead against the six-check loop it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(run_settings)
+    def test_matches_reference(self, case):
+        d = case["d"]
+        x0 = np.random.default_rng(case["seed"]).uniform(-1.5, 1.5, d)
+        # Budgets from d + 1 (the bare initial simplex) up to 400.
+        kw = dict(
+            tol=case["tol"],
+            max_evals=min(400, d + 1 + case["slack"]),
+            restarts=case["restarts"],
+        )
+        want = oracle_nelder_mead(_landscape(case["kind"], d, case["seed"]), x0, **kw)
+        got = nelder_mead(_landscape(case["kind"], d, case["seed"]), x0, **kw)
+        assert_same_result(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(run_settings, st.integers(1, 3))
+    def test_shared_objective(self, case, runs):
+        d = case["d"]
+        kw = dict(tol=case["tol"], max_evals=d + 1 + case["slack"] // 4, restarts=case["restarts"])
+        obj_old = Objective(_landscape(case["kind"], d, case["seed"]))
+        obj_new = Objective(_landscape(case["kind"], d, case["seed"]))
+        for k in range(runs):
+            x0 = np.random.default_rng([case["seed"], k]).uniform(-1.5, 1.5, d)
+            assert_same_result(nelder_mead(obj_new, x0, **kw), oracle_nelder_mead(obj_old, x0, **kw))
+        assert obj_new.trace == obj_old.trace
+
+    @settings(max_examples=20, deadline=None)
+    @given(run_settings, st.integers(1, 4))
+    def test_multistart(self, case, n_starts):
+        d = case["d"]
+        kw = dict(tol=case["tol"], max_evals=d + 1 + case["slack"] // 4, restarts=case["restarts"])
+        bounds = [(-2.0, 2.0)] * d
+        with mock.patch.object(vqekit.optimize, "nelder_mead", oracle_nelder_mead):
+            want = multistart(
+                _landscape(case["kind"], d, case["seed"]), bounds, n_starts=n_starts,
+                rng=np.random.default_rng(case["seed"]), **kw,
+            )
+        got = multistart(
+            _landscape(case["kind"], d, case["seed"]), bounds, n_starts=n_starts,
+            rng=np.random.default_rng(case["seed"]), **kw,
+        )
+        assert_same_result(got, want)
 
 
 def double_well(x):

@@ -19,7 +19,7 @@ from vqekit import (
 )
 from vqekit.errors import ValidationError
 from vqekit.optimize import nelder_mead
-from vqekit.schedule import baseline_record, evaluate, make_schedule
+from vqekit.schedule import baseline_record, make_schedule
 
 
 def one_qubit_pair():
@@ -76,6 +76,14 @@ class TestScheduleFamilies:
             Schedule(variant="cosine", tau=1.0)
         with pytest.raises(ValidationError):
             Schedule.linear(0.0)
+        # NaN passes `tau <= 0`; it used to evolve to a NaN state.
+        for tau in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="tau must be finite and positive"):
+                Schedule.linear(tau)
+            with pytest.raises(ValidationError, match="tau must be finite and positive"):
+                Schedule.spline(tau, 0.2, 0.8)
+            with pytest.raises(ValidationError, match="tau must be finite and positive"):
+                Schedule.bang_bang(tau, [0.5])
 
     def test_evaluate_rejects_out_of_range(self):
         s = Schedule.linear(2.0)
@@ -86,10 +94,6 @@ class TestScheduleFamilies:
         # roundoff-level excursions are clipped, not rejected
         assert s.evaluate(-1e-12) == 0.0
         assert s.evaluate(2.0 + 1e-12) == pytest.approx(1.0)
-
-    def test_module_level_alias(self):
-        s = Schedule.linear(2.0)
-        assert evaluate(s, 1.0) == s.evaluate(1.0)
 
     def test_make_schedule_pins_and_clips(self):
         s = make_schedule("linear", 10.0, np.array([0.001]))
@@ -129,6 +133,15 @@ class TestSpectrumAlongPath:
         h_i, _ = one_qubit_pair()
         with pytest.raises(ValidationError):
             spectrum_along_path(h_i, PauliSum.hermitian([(1.0, "ZZ")]), [0.5])
+
+    def test_rejects_non_hermitian_sums(self):
+        # X + 0.5i Y has eigenvalues +-sqrt(0.75); eigvalsh reads one
+        # triangle and would report +-0.5.
+        h_i, h_p = one_qubit_pair()
+        bad = PauliSum.from_terms([(1.0, "X"), (0.5j, "Y")])
+        for pair in ((bad, h_p), (h_i, bad)):
+            with pytest.raises(ValidationError, match="Hermitian"):
+                spectrum_along_path(*pair, [0.0, 1.0])
 
 
 class TestSuccessProbability:

@@ -527,8 +527,9 @@ class TestEvolveSchedule:
         h_i, h_p = two_qubit_pair()
         s0 = StateVector.from_label("00")
         sched = _FnSchedule(lambda t: np.zeros_like(t))
-        with pytest.raises(ValidationError):
-            evolve_schedule(s0, sched, h_i, h_p, 0.0, steps=4)
+        for tau in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="tau must be finite and positive"):
+                evolve_schedule(s0, sched, h_i, h_p, tau, steps=4)
         with pytest.raises(ValidationError):
             evolve_schedule(s0, sched, h_i, h_p, 1.0, steps=0)
         with pytest.raises(DimensionError):
