@@ -146,6 +146,16 @@ def _seed_of(cfg: dict, override: int | None) -> int:
     return _integer(cfg["seed"], "seed", 0)
 
 
+def _sampling_budget(h: PauliSum, epsilon: float, trunc_c: float):
+    """(kept sum, dropped-term count, sampling precision) for a precision eps.
+
+    Truncation takes at most C*eps of bias, so sampling gets the rest of the
+    squared-error budget, eps^2 (1 - C^2); at C = 0 the precision is eps.
+    """
+    h_meas, k_star, _per_term = _estimate.truncate_terms(h, epsilon, trunc_c)
+    return h_meas, k_star, epsilon * math.sqrt(1.0 - trunc_c * trunc_c)
+
+
 # ---------------------------------------------------------------- vqe
 
 
@@ -210,6 +220,8 @@ def _reference_from_cfg(cfg: dict, n_qubits: int) -> "_ansatz.ReferenceState":
         label = _string(spec["label"], "ansatz.reference.label")
         if len(label) != n_qubits:
             _fail("ansatz.reference: label length does not match qubit count")
+        if set(label) - set("01"):
+            _fail(f"ansatz.reference.label: expected only 0 and 1, got {label!r}")
         return _ansatz.ReferenceState(n_qubits=n_qubits, basis_index=int(label, 2))
     return _ansatz.ReferenceState.from_occupied(
         n_qubits, _indices(spec["occupied"], "ansatz.reference.occupied")
@@ -286,33 +298,22 @@ def cmd_vqe(cfg: dict, out_override=None, seed_override=None, exact=False, base=
             return expectation_and_variance(state, h)[0]
 
     else:
-        h_meas, _kstar, per_term = _estimate.truncate_terms(h, epsilon, trunc_c)
-        ref_state = ref.to_state()
+        h_meas, _k_star, eps_sampling = _sampling_budget(h, epsilon, trunc_c)
         if grouping == "auto":
             plan = _estimate.build_groups(
-                h_meas, _estimate.exact_covariances(h_meas, ref_state)
+                h_meas, _estimate.exact_covariances(h_meas, ref.to_state())
             )
         else:
             plan = _estimate.MeasurementPlan(
-                groups=tuple(
-                    (i,)
-                    for i, t in enumerate(h_meas.terms)
-                    if not t.string.is_identity()
-                )
+                groups=tuple((i,) for i in _estimate._measurable_indices(h_meas))
             )
-        n_groups = max(1, len(plan.groups))
-        if math.isfinite(per_term):
-            m_kept = sum(
-                1 for t in h_meas.terms if not t.string.is_identity()
-            )
-            plan = plan.with_target(per_term * m_kept / n_groups)
         rng = make_rng(seed)
 
         def objective(theta):
             nonlocal preparations
             state = _ansatz.prepare_state(ref, acfg, theta)
             rep = _estimate.estimate_expectation(
-                lambda: state, h_meas, plan, epsilon, mode=mode, rng=rng
+                lambda: state, h_meas, plan, eps_sampling, mode=mode, rng=rng
             )
             preparations += rep.total_preparations
             return rep.value
@@ -466,7 +467,7 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
     if mode not in ("frequentist", "bayesian"):
         _fail(f"config: unknown mode {mode!r}")
     trunc_c = _real(cfg.get("truncation", 0.0), "truncation")
-    h_meas, k_star, _per_term = _estimate.truncate_terms(h, epsilon, trunc_c)
+    h_meas, k_star, eps_sampling = _sampling_budget(h, epsilon, trunc_c)
 
     plans_cfg = cfg.get("plans", "auto")
     plans: list[tuple[str, _estimate.MeasurementPlan]] = []
@@ -490,7 +491,7 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
     plan_text = []
     best = None
     for name, plan in plans:
-        n_exp = _estimate.expected_preparations(plan, state, h_meas, epsilon)
+        n_exp = _estimate.expected_preparations(plan, state, h_meas, eps_sampling)
         coeff = n_exp * epsilon * epsilon
         lines.append(f"plan {name}: {len(plan.groups)} groups")
         plan_text.append(f"# plan {name}")
@@ -512,7 +513,7 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
             lambda: state,
             h_meas,
             plan,
-            epsilon,
+            eps_sampling,
             mode=mode,
             rng=rng,
             credible_level=0.95 if mode == "bayesian" else None,

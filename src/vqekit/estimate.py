@@ -50,6 +50,8 @@ MIN_SHOT_FLOOR = 1000
 # Shots between stopping-rule checks.
 BATCH_SIZE = 100
 PILOT_SHOTS = 500
+# Grid points of a discretized posterior density.
+DENSITY_POINTS = 1025
 
 
 @dataclass(frozen=True)
@@ -150,16 +152,9 @@ def posterior_moments(
 
 @dataclass(frozen=True)
 class MeasurementPlan:
-    """Partition of a sum's non-identity term indices into commuting groups.
-
-    per_group_variance_target is filled in once a precision is known; the
-    covariance_aware flag records whether grouping used cost estimates or
-    merged on commutation alone.
-    """
+    """Partition of a sum's non-identity term indices into commuting groups."""
 
     groups: tuple[tuple[int, ...], ...]
-    per_group_variance_target: float | None = None
-    covariance_aware: bool = True
 
     def __post_init__(self):
         seen = set()
@@ -170,9 +165,6 @@ class MeasurementPlan:
                 if i in seen:
                     raise ValidationError(f"term index {i} appears twice")
                 seen.add(i)
-        if self.per_group_variance_target is not None:
-            if self.per_group_variance_target <= 0:
-                raise ValidationError("variance target must be positive")
 
     def validate_against(self, h: PauliSum) -> None:
         got = {i for g in self.groups for i in g}
@@ -185,9 +177,6 @@ class MeasurementPlan:
                         raise ValidationError(
                             f"terms {g[a]} and {g[b]} do not commute"
                         )
-
-    def with_target(self, target: float) -> "MeasurementPlan":
-        return replace(self, per_group_variance_target=float(target))
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -225,20 +214,13 @@ def exact_covariances(h: PauliSum, state: StateVector) -> np.ndarray:
     return cov
 
 
-def pilot_covariances(
-    prep,
-    h: PauliSum,
-    rng: np.random.Generator,
-    shots: int = PILOT_SHOTS,
-) -> np.ndarray:
+def pilot_covariances(prep, h: PauliSum, rng: np.random.Generator) -> np.ndarray:
     """Low-precision sampled covariance estimates for planning.
 
-    Commuting pairs are co-measured shots times each; non-commuting
+    Commuting pairs are co-measured PILOT_SHOTS times each; non-commuting
     off-diagonal entries are left at zero (they can never share a group).
     prep is called once and must return the state to measure.
     """
-    if shots < 2:
-        raise ValidationError("need at least two pilot shots")
     state = prep()
     m = len(h.terms)
     cov = np.zeros((m, m))
@@ -252,7 +234,7 @@ def pilot_covariances(
             hi = float(np.real(h.terms[i].coeff))
             hj = float(np.real(h.terms[j].coeff))
             sampler = GroupSampler(state, (si,) if i == j else (si, sj))
-            leaves = sampler.draw(rng, shots).tolist()
+            leaves = sampler.draw(rng, PILOT_SHOTS).tolist()
             signs = np.array([sampler.outcomes(leaf) for leaf in leaves])
             xs = hi * signs[:, 0]
             ys = hj * signs[:, -1] if i != j else xs
@@ -311,10 +293,7 @@ def build_groups(h: PauliSum, cov: np.ndarray | None = None) -> MeasurementPlan:
         else:
             group_vars[best_gi] = joined_variance(groups[best_gi], i)
             groups[best_gi].append(i)
-    return MeasurementPlan(
-        groups=tuple(tuple(g) for g in groups),
-        covariance_aware=cov is not None,
-    )
+    return MeasurementPlan(groups=tuple(tuple(g) for g in groups))
 
 
 def truncate_terms(
@@ -424,9 +403,9 @@ def _frequentist_group(sampler, coeffs, target, rng):
     while True:
         for leaf in sampler.draw(rng, BATCH_SIZE).tolist():
             n, mean, sq_dev = _welford(n, mean, sq_dev, qs[leaf])
-        est = TermEstimator(mode="frequentist", n=n, mean=mean, sq_dev=sq_dev)
-        if est.n >= MIN_SHOT_FLOOR and est.estimator_variance < target:
-            return est.n, est.value, est.estimator_variance
+        var = sq_dev / (n - 1) / n  # TermEstimator.estimator_variance
+        if n >= MIN_SHOT_FLOOR and var < target:
+            return n, mean, var
 
 
 def _bayesian_group(sampler, coeffs, target, rng):
@@ -500,10 +479,7 @@ def estimate_expectation(
             groups=(),
             mode=mode,
         )
-    if plan.per_group_variance_target is not None:
-        target = plan.per_group_variance_target
-    else:
-        target = epsilon * epsilon / len(plan.groups)
+    target = epsilon * epsilon / len(plan.groups)
 
     measure_group = _frequentist_group if mode == "frequentist" else _bayesian_group
     reports = []
@@ -574,9 +550,7 @@ class PosteriorDensity:
         return lo, hi
 
 
-def beta_density(
-    alpha: float, beta: float, m1: float, m2: float, points: int = 1025
-) -> PosteriorDensity:
+def beta_density(alpha: float, beta: float, m1: float, m2: float) -> PosteriorDensity:
     """Posterior density of m1*p + m2*(1-p), p ~ Beta(alpha, beta)."""
     if alpha <= 0 or beta <= 0:
         raise ParameterError("Beta parameters must be positive")
@@ -585,7 +559,7 @@ def beta_density(
         raise ValidationError("degenerate outcome pair has no density")
     from scipy.stats import beta as _beta_dist  # slow import; kept off `import vqekit`
 
-    grid = np.linspace(lo, hi, points)
+    grid = np.linspace(lo, hi, DENSITY_POINTS)
     p = (grid - m2) / (m1 - m2)
     pdf = _beta_dist.pdf(np.clip(p, 0.0, 1.0), alpha, beta) / abs(m1 - m2)
     mass = np.trapezoid(pdf, grid)

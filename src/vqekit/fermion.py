@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .pauli import PauliString, PauliSum, PauliTerm
+from .simulator import StateVector
 
 __all__ = [
     "FermionOperator",
@@ -227,7 +228,8 @@ class IntegralSet:
     two_body: np.ndarray
     core: float
 
-    def validate(self, atol: float = 1e-10) -> None:
+    def validate(self) -> None:
+        atol = 1e-10
         m = self.n_modes
         if self.one_body.shape != (m, m) or self.two_body.shape != (m, m, m, m):
             raise ValidationError("integral array shapes do not match n_modes")
@@ -346,7 +348,8 @@ class RDMPair:
     d1: np.ndarray
     d2: np.ndarray
 
-    def validate(self, atol: float = 1e-9) -> None:
+    def validate(self) -> None:
+        atol = 1e-9
         m = self.n_modes
         if self.d1.shape != (m, m) or self.d2.shape != (m, m, m, m):
             raise ValidationError("RDM shapes do not match n_modes")
@@ -390,8 +393,6 @@ class RDMPair:
 
 def measure_rdm(state, n_modes: int) -> RDMPair:
     """Exact RDMs of a simulated state (the partial-tomography view)."""
-    from .simulator import StateVector  # local to avoid a cycle
-
     if not isinstance(state, StateVector):
         raise ValidationError("measure_rdm expects a StateVector")
     if state.n_qubits != n_modes:

@@ -295,8 +295,8 @@ class PauliSum:
 
     __rmul__ = __mul__
 
-    def simplify(self, atol: float = ATOL) -> "PauliSum":
-        """Merge duplicate strings and drop coefficients with |c| <= atol."""
+    def simplify(self) -> "PauliSum":
+        """Merge duplicate strings and drop coefficients with |c| <= ATOL."""
         order: list[PauliString] = []
         acc: dict[PauliString, complex] = {}
         for t in self.terms:
@@ -305,7 +305,7 @@ class PauliSum:
             else:
                 acc[t.string] = t.coeff
                 order.append(t.string)
-        kept = [PauliTerm(acc[s], s) for s in order if abs(acc[s]) > atol]
+        kept = [PauliTerm(acc[s], s) for s in order if abs(acc[s]) > ATOL]
         return PauliSum(self.n_qubits, kept)
 
     def is_hermitian(self) -> bool:

@@ -162,7 +162,10 @@ def _endpoints(h_i: PauliSum, h_p: PauliSum) -> tuple[StateVector, StateVector]:
 
 
 def _default_steps(tau: float) -> int:
-    return max(400, int(math.ceil(20.0 * tau)))
+    steps = 20.0 * tau
+    if not math.isfinite(steps):
+        raise ValidationError(f"tau {tau!r} is too large for a default step count")
+    return max(400, math.ceil(steps))
 
 
 def success_probability(

@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _NORM_ATOL = 1e-8
+# Largest sum the dense eigensolvers accept.
+MAX_DENSE_QUBITS = 12
 
 
 class StateVector:
@@ -149,13 +151,14 @@ def expectation_and_variance(state: StateVector, h: PauliSum) -> tuple[float, fl
     return mean, float(np.real(np.vdot(phi, phi)))
 
 
-def exact_eigensystem(h: PauliSum, max_qubits: int = 12) -> tuple[np.ndarray, np.ndarray]:
+def exact_eigensystem(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvector columns of a Hermitian sum."""
-    if h.n_qubits > max_qubits:
-        raise CapacityError(f"{h.n_qubits} qubits exceeds dense limit {max_qubits}")
+    # Checked before is_hermitian(), which compiles the sum.
+    if h.n_qubits > MAX_DENSE_QUBITS:
+        raise CapacityError(f"{h.n_qubits} qubits exceeds dense limit {MAX_DENSE_QUBITS}")
     if not h.is_hermitian():
         raise ValidationError("eigensystem requires a Hermitian sum")
-    m = h.to_matrix(max_qubits)
+    m = h.to_matrix()
     vals, vecs = np.linalg.eigh(m)
     resid = np.max(np.abs(m @ vecs - vecs * vals))
     scale = max(1.0, float(np.max(np.abs(vals)))) if vals.size else 1.0
@@ -164,8 +167,8 @@ def exact_eigensystem(h: PauliSum, max_qubits: int = 12) -> tuple[np.ndarray, np
     return vals.real, vecs
 
 
-def ground_state(h: PauliSum, max_qubits: int = 12) -> tuple[float, StateVector]:
-    vals, vecs = exact_eigensystem(h, max_qubits)
+def ground_state(h: PauliSum) -> tuple[float, StateVector]:
+    vals, vecs = exact_eigensystem(h)
     return float(vals[0]), StateVector(vecs[:, 0], copy=True)
 
 
@@ -324,7 +327,7 @@ def evolve_schedule(
     t_mid = (np.arange(steps) + 0.5) * dt
     g = np.asarray(sched.evaluate(t_mid), dtype=float)
     if g.shape != t_mid.shape:
-        g = np.array([float(sched.evaluate(t)) for t in t_mid])
+        raise ValidationError("schedule must evaluate an array of times elementwise")
     hams = (1.0 - g)[:, None, None] * mi + g[:, None, None] * mp
     w, v = np.linalg.eigh(hams)
     amps = s0.amplitudes.copy()

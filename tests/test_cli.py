@@ -266,6 +266,34 @@ class TestEstimateCommand:
         assert err.startswith("error: ")
         assert not (tmp_path / "o").exists()
 
+    def test_truncation_leaves_sampling_the_rest_of_the_budget(self, tmp_path):
+        # Truncation spends at most C*eps on bias, so sampling must stay
+        # under (1 - C^2) eps^2 for the total to stay under eps^2.
+        h = {
+            "n_qubits": 2,
+            "terms": [
+                {"coeff": -1.0, "paulis": "XX"},
+                {"coeff": -1.0, "paulis": "YY"},
+                {"coeff": 1.0, "paulis": "ZZ"},
+                {"coeff": 0.005, "paulis": "ZI"},
+                {"coeff": 0.005, "paulis": "IZ"},
+            ],
+        }
+        plus = {"amplitudes": [[0.5, 0.0]] * 4}
+        eps, c = 0.02, 0.5
+        cfg = write_config(
+            tmp_path / "c.json",
+            {"hamiltonian": h, "state": plus, "epsilon": eps, "truncation": c, "seed": 3},
+        )
+        code, out, _ = run_cli("estimate", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["truncated_terms"] == 1
+        assert report["epsilon"] == eps
+        assert report["variance_of_estimator"] <= (1.0 - c * c) * eps * eps
+        # The cost line stays in units of the requested 1/eps^2.
+        assert "plan auto: expected preparations 5.3334/epsilon^2 = 13333.5" in out
+
 
 # ------------------------------------------------------------------ vqe
 
@@ -731,6 +759,20 @@ class TestFailClosed:
                 {"hamiltonian": {"n_qubits": 2, "terms": [{"coeff": 1.0}]}, "state": {"label": "01"}, "seed": 1},
                 "term 0: missing keys ['paulis']",
             ),
+            # int(label, 2) alone accepts a sign and spaces: "+1" reads as |01>.
+            *(
+                (
+                    "vqe",
+                    {**UCC_2Q, "ansatz": {"kind": "spin_cluster", "reference": {"label": label}}},
+                    "ansatz.reference.label: expected only 0 and 1",
+                )
+                for label in ("+1", "-0", " 1")
+            ),
+            (
+                "adiabatic",
+                {**ADIABATIC_SMALL, "taus": [1e308]},
+                "too large for a default step count",
+            ),
         ],
     )
     def test_bad_value(self, tmp_path, command, cfg, message):
@@ -813,6 +855,33 @@ class TestFailClosed:
         assert "weinstein interval" in proc.stdout
         report = json.loads((tmp_path / "certificates.json").read_text())
         assert report["mean"] == -2.8
+
+
+GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden"
+
+
+class TestGoldenOutputs:
+    """Seeded runs whose files and stdout must not change by one byte.
+
+    Both commands use only Philox draws, exact sums and Python floats, so
+    their bytes do not depend on the BLAS or LAPACK build.
+    """
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [("certify", "certify.json"), ("estimate", "twospin_estimate.json")],
+    )
+    def test_matches_golden(self, tmp_path, command, config):
+        code, out, err = run_cli(
+            command, "--config", str(CONFIGS / config), "--out", str(tmp_path)
+        )
+        assert code == 0, err
+        want = GOLDEN / command
+        assert out.encode("utf-8") == (want / "stdout.txt").read_bytes()
+        names = sorted(p.name for p in want.iterdir() if p.name != "stdout.txt")
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (want / name).read_bytes(), name
 
 
 class TestOutputResolution:

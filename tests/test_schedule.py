@@ -170,6 +170,12 @@ class TestSuccessProbability:
         ]
         assert vals[0] < vals[1] < vals[2]
 
+    def test_huge_tau_rejected(self):
+        # 20 * tau overflows to inf, which no step count can hold.
+        h_i, h_p = one_qubit_pair()
+        with pytest.raises(ValidationError, match="too large"):
+            success_probability(Schedule.linear(1e308), h_i, h_p)
+
     def test_degenerate_target_rejected(self):
         h_i, _ = one_qubit_pair()
         with pytest.raises(ValidationError):

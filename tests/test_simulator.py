@@ -208,9 +208,10 @@ class TestEigensystem:
         assert var == pytest.approx(0.0, abs=1e-10)
 
     def test_capacity_guard(self):
-        h = PauliSum.hermitian([(1.0, "ZZZ")])
+        h = PauliSum.hermitian([(1.0, "Z" * 13)])
         with pytest.raises(CapacityError):
-            exact_eigensystem(h, max_qubits=2)
+            exact_eigensystem(h)
+        assert h._compiled is None  # refused before is_hermitian() compiles it
 
 
 class TestSampleGroup:
@@ -522,6 +523,13 @@ class TestEvolveSchedule:
             s0, _FnSchedule(lambda t: t / 50.0), h_i, h_p, 50.0, steps=2000
         )
         assert out.norm() == pytest.approx(1.0, abs=1e-10)
+
+    def test_scalar_schedule_rejected(self):
+        # Schedules evaluate arrays of times elementwise; a scalar is an error.
+        h_i, h_p = two_qubit_pair()
+        s0 = StateVector.from_label("00")
+        with pytest.raises(ValidationError, match="elementwise"):
+            evolve_schedule(s0, _FnSchedule(lambda t: 0.5), h_i, h_p, 1.0, steps=4)
 
     def test_error_paths(self):
         h_i, h_p = two_qubit_pair()
