@@ -94,8 +94,6 @@ def delos_blinder(b: BoundInputs, sqrt_variance: bool = False) -> float:
     """
     if b.alpha is None:
         raise BoundInapplicableError("alpha is required for this bound")
-    if b.alpha <= 0.5:
-        raise BoundInapplicableError("alpha must exceed 1/2")
     factor = math.sqrt(1.0 / (b.alpha * b.alpha) - 1.0)
     spread = math.sqrt(b.variance) if sqrt_variance else b.variance
     return b.mean - factor * spread

@@ -289,16 +289,15 @@ def cmd_vqe(cfg: dict, out_override=None, seed_override=None, exact=False, base=
         _fail(f"estimator: unknown grouping {grouping!r}")
     gap = _real(cfg["gap"], "gap") if "gap" in cfg else None
 
+    h_meas, _k_star, eps_sampling = _sampling_budget(h, epsilon, trunc_c)
     preparations = 0
     if mode == "exact":
-        h_meas = h
 
         def objective(theta):
             state = _ansatz.prepare_state(ref, acfg, theta)
             return expectation_and_variance(state, h)[0]
 
     else:
-        h_meas, _k_star, eps_sampling = _sampling_budget(h, epsilon, trunc_c)
         if grouping == "auto":
             plan = _estimate.build_groups(
                 h_meas, _estimate.exact_covariances(h_meas, ref.to_state())
@@ -486,6 +485,8 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
             )
             name = _string(entry.get("name", f"plan-{k + 1}"), f"{where}.name")
             plans.append((name, plan))
+        if not plans:
+            _fail("plans: expected at least one plan")
 
     lines = []
     plan_text = []
@@ -506,7 +507,7 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
             best = (name, plan, n_exp)
 
     report_dict = None
-    if not exact and best is not None:
+    if not exact:
         name, plan, _n = best
         rng = make_rng(seed)
         rep = _estimate.estimate_expectation(

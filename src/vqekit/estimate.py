@@ -56,7 +56,7 @@ DENSITY_POINTS = 1025
 
 @dataclass(frozen=True)
 class TermEstimator:
-    """Single-value estimator; also serves whole groups in frequentist mode.
+    """Running estimate of one weighted Pauli term's expectation.
 
     m1/m2 are the two possible outcomes of a weighted Pauli term (+h, -h).
     Frequentist state is (n, mean, sum of squared deviations); Bayesian

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _COEFF_ATOL = 1e-12
+# is_hermitian, is_zero and equals ignore normal-ordered coefficients this small.
+_OP_ATOL = 1e-10
 
 
 def _op(mode: int, dagger: bool) -> int:
@@ -134,16 +136,15 @@ class FermionOperator:
     def normal_order(self) -> "FermionOperator":
         return normal_order(self)
 
-    def is_hermitian(self, atol: float = 1e-10) -> bool:
-        diff = normal_order(self - self.hermitian_conjugate())
-        return all(abs(c) <= atol for c in diff.terms.values())
+    def is_hermitian(self) -> bool:
+        return self.equals(self.hermitian_conjugate())
 
-    def is_zero(self, atol: float = _COEFF_ATOL) -> bool:
-        return all(abs(c) <= atol for c in self.terms.values())
+    def is_zero(self) -> bool:
+        return all(abs(c) <= _OP_ATOL for c in self.terms.values())
 
-    def equals(self, other: "FermionOperator", atol: float = 1e-10) -> bool:
+    def equals(self, other: "FermionOperator") -> bool:
         self._check(other)
-        return normal_order(self - other).is_zero(atol)
+        return normal_order(self - other).is_zero()
 
     def __repr__(self) -> str:
         body = " + ".join(
@@ -219,16 +220,27 @@ def jordan_wigner(f: FermionOperator) -> PauliSum:
     return total.simplify()
 
 
+def _read_only(obj, name: str, dtype) -> None:
+    """Replace a frozen dataclass's array field with a read-only copy; a
+    lossy cast, such as complex to float, raises TypeError."""
+    arr = np.asarray(getattr(obj, name)).astype(dtype, casting="safe")
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class IntegralSet:
-    """Molecular spin-orbital integrals: h_pq, h_pqrs, and a scalar core."""
+    """Molecular spin-orbital integrals: h_pq, h_pqrs, and a scalar core.
+    Checked once, when built, and stored as read-only float copies."""
 
     n_modes: int
     one_body: np.ndarray
     two_body: np.ndarray
     core: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        _read_only(self, "one_body", float)
+        _read_only(self, "two_body", float)
         atol = 1e-10
         m = self.n_modes
         if self.one_body.shape != (m, m) or self.two_body.shape != (m, m, m, m):
@@ -309,14 +321,11 @@ def load_integrals(path: str) -> IntegralSet:
                 raise ValidationError(f"{path}:{k}: duplicate two-body entry")
             seen.add(key)
             two[p - 1, q - 1, r - 1, s - 1] = val
-    ints = IntegralSet(n_modes=m, one_body=one, two_body=two, core=core)
-    ints.validate()
-    return ints
+    return IntegralSet(n_modes=m, one_body=one, two_body=two, core=core)
 
 
 def build_hamiltonian(ints: IntegralSet) -> FermionOperator:
     """H = sum h_pq adag_p a_q + (1/2) sum h_pqrs adag_p adag_q a_r a_s + core."""
-    ints.validate()
     m = ints.n_modes
     terms: dict[tuple[int, ...], complex] = {}
     if abs(ints.core) > _COEFF_ATOL:
@@ -342,13 +351,16 @@ class RDMPair:
     """One- and two-body reduced density matrices.
 
     d1[i, p] = <adag_i a_p>, d2[i, j, p, q] = <adag_i adag_j a_p a_q>.
+    Checked once, when built, and stored as read-only complex copies.
     """
 
     n_modes: int
     d1: np.ndarray
     d2: np.ndarray
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        _read_only(self, "d1", complex)
+        _read_only(self, "d2", complex)
         atol = 1e-9
         m = self.n_modes
         if self.d1.shape != (m, m) or self.d2.shape != (m, m, m, m):
@@ -382,13 +394,11 @@ class RDMPair:
             raise ValidationError(f"bad RDM JSON: {exc}") from exc
         if d1.shape != (m, m, 2) or d2.shape != (m, m, m, m, 2):
             raise ValidationError("bad RDM JSON: array shapes")
-        pair = cls(
+        return cls(
             n_modes=m,
             d1=d1[..., 0] + 1j * d1[..., 1],
             d2=d2[..., 0] + 1j * d2[..., 1],
         )
-        pair.validate()
-        return pair
 
 
 def measure_rdm(state, n_modes: int) -> RDMPair:
@@ -419,9 +429,7 @@ def measure_rdm(state, n_modes: int) -> RDMPair:
                     d2[i, j, p, q] = expect(
                         [(i, True), (j, True), (p, False), (q, False)]
                     )
-    pair = RDMPair(n_modes=n_modes, d1=d1, d2=d2)
-    pair.validate()
-    return pair
+    return RDMPair(n_modes=n_modes, d1=d1, d2=d2)
 
 
 def assemble_observable(rdm: RDMPair, f: np.ndarray, g: np.ndarray) -> float:

@@ -34,6 +34,8 @@ __all__ = [
 
 # Coefficients at or below this magnitude are treated as zero when simplifying.
 ATOL = 1e-12
+# Largest qubit count any dense matrix is built for.
+MAX_DENSE_QUBITS = 12
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
@@ -121,15 +123,8 @@ class PauliString:
         phases.setflags(write=False)
         return src, phases
 
-    def to_matrix(self, max_qubits: int = 12) -> np.ndarray:
-        if self.n_qubits > max_qubits:
-            raise CapacityError(
-                f"dense matrix for {self.n_qubits} qubits exceeds limit {max_qubits}"
-            )
-        src, phases = self.action()
-        m = np.zeros((src.size, src.size), dtype=complex)
-        m[np.arange(src.size), src] = phases
-        return m
+    def to_matrix(self) -> np.ndarray:
+        return PauliSum(self.n_qubits, [PauliTerm(1.0 + 0j, self)]).to_matrix()
 
     def __eq__(self, other) -> bool:
         return (
@@ -318,10 +313,10 @@ class PauliSum:
             start=0.0 + 0j,
         )
 
-    def to_matrix(self, max_qubits: int = 12) -> np.ndarray:
-        if self.n_qubits > max_qubits:
+    def to_matrix(self) -> np.ndarray:
+        if self.n_qubits > MAX_DENSE_QUBITS:
             raise CapacityError(
-                f"dense matrix for {self.n_qubits} qubits exceeds limit {max_qubits}"
+                f"dense matrix for {self.n_qubits} qubits exceeds limit {MAX_DENSE_QUBITS}"
             )
         dim = 1 << self.n_qubits
         m = np.zeros((dim, dim), dtype=complex)

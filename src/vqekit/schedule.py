@@ -19,6 +19,7 @@ from .errors import ValidationError
 from .pauli import PauliSum
 from .simulator import (
     StateVector,
+    _check_tau,
     evolve_schedule,
     exact_eigensystem,
     expectation_and_variance,
@@ -42,12 +43,6 @@ _KNOT_LO = 0.15
 _KNOT_HI = 0.85
 # Overlap samples along a recorded path, both ends included.
 TRAJECTORY_POINTS = 201
-
-
-def _check_tau(tau) -> None:
-    # NaN passes `tau <= 0`, and a NaN tau evolves to a NaN state.
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValidationError(f"tau must be finite and positive, got {tau!r}")
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,13 @@ explicit numpy Generator (see rng.make_rng).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
-    CapacityError,
     DimensionError,
     NonCommutingGroupError,
     ValidationError,
@@ -34,8 +34,6 @@ __all__ = [
 ]
 
 _NORM_ATOL = 1e-8
-# Largest sum the dense eigensolvers accept.
-MAX_DENSE_QUBITS = 12
 
 
 class StateVector:
@@ -65,11 +63,11 @@ class StateVector:
 
     @classmethod
     def basis(cls, n_qubits: int, index: int) -> "StateVector":
-        if not 0 <= index < (1 << n_qubits):
+        if n_qubits < 1 or not 0 <= index < (1 << n_qubits):
             raise ValidationError(f"basis index {index} out of range")
         amps = np.zeros(1 << n_qubits, dtype=complex)
         amps[index] = 1.0
-        return cls(amps, copy=False)
+        return cls._unchecked(amps, n_qubits)
 
     @classmethod
     def from_label(cls, label: str) -> "StateVector":
@@ -153,12 +151,9 @@ def expectation_and_variance(state: StateVector, h: PauliSum) -> tuple[float, fl
 
 def exact_eigensystem(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvector columns of a Hermitian sum."""
-    # Checked before is_hermitian(), which compiles the sum.
-    if h.n_qubits > MAX_DENSE_QUBITS:
-        raise CapacityError(f"{h.n_qubits} qubits exceeds dense limit {MAX_DENSE_QUBITS}")
+    m = h.to_matrix()
     if not h.is_hermitian():
         raise ValidationError("eigensystem requires a Hermitian sum")
-    m = h.to_matrix()
     vals, vecs = np.linalg.eigh(m)
     resid = np.max(np.abs(m @ vecs - vecs * vals))
     scale = max(1.0, float(np.max(np.abs(vals)))) if vals.size else 1.0
@@ -298,6 +293,12 @@ def sample_group(
     )
 
 
+def _check_tau(tau) -> None:
+    # NaN passes `tau <= 0`, and a NaN tau evolves to a NaN state.
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValidationError(f"tau must be finite and positive, got {tau!r}")
+
+
 def evolve_schedule(
     s0: StateVector,
     sched,
@@ -313,8 +314,7 @@ def evolve_schedule(
     eigendecomposition; global error is O((tau/steps)^2).  `callback(t, state)`,
     if given, is invoked after every step.
     """
-    if not (np.isfinite(tau) and tau > 0):
-        raise ValidationError(f"tau must be finite and positive, got {tau!r}")
+    _check_tau(tau)
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     if h_i.n_qubits != h_p.n_qubits or h_i.n_qubits != s0.n_qubits:

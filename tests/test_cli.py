@@ -773,6 +773,23 @@ class TestFailClosed:
                 {**ADIABATIC_SMALL, "taus": [1e308]},
                 "too large for a default step count",
             ),
+            # Exact mode samples nothing, but epsilon and C are still checked.
+            (
+                "vqe",
+                {**UCC_2Q, "estimator": {"mode": "exact", "epsilon": -1.0}},
+                "epsilon must be finite and positive",
+            ),
+            (
+                "vqe",
+                {**UCC_2Q, "estimator": {"mode": "exact", "truncation": 1.0}},
+                "C must lie in [0, 1)",
+            ),
+            # An empty grid aborts the run.
+            (
+                "estimate",
+                {"hamiltonian": TWOSPIN, "state": {"label": "01"}, "plans": [], "seed": 1},
+                "plans: expected at least one plan",
+            ),
         ],
     )
     def test_bad_value(self, tmp_path, command, cfg, message):
@@ -796,6 +813,11 @@ class TestFailClosed:
                 "vqe",
                 {**UCC_2Q, "estimator": {"mode": "exact", "grouping": "bogus"}},
                 "unknown grouping 'bogus'",
+            ),
+            (
+                "vqe",
+                {**UCC_2Q, "estimator": {"mode": "frequentist", "epsilon": -1.0}},
+                "epsilon must be finite and positive",
             ),
         ],
     )

@@ -10,6 +10,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqekit import (
     FermionOperator,
@@ -57,6 +59,19 @@ def dense_of(f: FermionOperator) -> np.ndarray:
             m = m @ (ann[mode].conj().T if dag else ann[mode])
         total += c * m
     return total
+
+
+@st.composite
+def fermion_operators(draw, max_modes: int = 4):
+    """Sums of up to four ladder products on up to four modes."""
+    n = draw(st.integers(1, max_modes))
+    ladder = st.tuples(st.integers(0, n - 1), st.booleans())
+    part = st.sampled_from((-1.5, -1.0, -0.5, 0.0, 0.5, 2.0))
+    f = FermionOperator.zero(n)
+    for _ in range(draw(st.integers(0, 4))):
+        coeff = complex(draw(part), draw(part))
+        f = f + T(n, coeff, draw(st.lists(ladder, max_size=4)))
+    return f
 
 
 def random_operator(rng, n_modes=3, n_terms=4, max_len=4) -> FermionOperator:
@@ -262,6 +277,13 @@ class TestJordanWigner:
                 jordan_wigner(f).to_matrix(), dense_of(f), atol=1e-10
             )
 
+    @settings(max_examples=80, deadline=None)
+    @given(fermion_operators())
+    def test_matches_occupation_basis_oracle(self, f):
+        # dense_of builds each a_p from the occupation basis alone:
+        # a_p|n> = (-1)^(sum_{q<p} n_q) n_p |n - e_p>.
+        np.testing.assert_allclose(jordan_wigner(f).to_matrix(), dense_of(f), atol=1e-10)
+
     def test_hermitian_input_gives_real_coefficients(self):
         f = FermionOperator.number_operator(3) + T(
             3, 0.5, [(0, True), (1, False)]
@@ -325,15 +347,34 @@ class TestIntegralFile:
         bad_one, bad_two = one.copy(), two.copy()
         bad_one[0, 1] = bad_one[1, 0] = np.inf
         bad_two[0, 1, 1, 0] = bad_two[1, 0, 0, 1] = np.nan
-        for ints in (
-            IntegralSet(n_modes=2, one_body=bad_one, two_body=two, core=0.0),
-            IntegralSet(n_modes=2, one_body=one, two_body=bad_two, core=0.0),
-            IntegralSet(n_modes=2, one_body=one, two_body=two, core=float("nan")),
+        for arrays in (
+            dict(one_body=bad_one, two_body=two, core=0.0),
+            dict(one_body=one, two_body=bad_two, core=0.0),
+            dict(one_body=one, two_body=two, core=float("nan")),
         ):
             with pytest.raises(ValidationError, match="integrals must be finite"):
-                ints.validate()
-            with pytest.raises(ValidationError, match="integrals must be finite"):
-                build_hamiltonian(ints)
+                IntegralSet(n_modes=2, **arrays)
+
+    def test_construction_checks_symmetry(self):
+        one = np.zeros((2, 2))
+        one[0, 1] = 1.0
+        with pytest.raises(ValidationError, match="not symmetric"):
+            IntegralSet(n_modes=2, one_body=one, two_body=np.zeros((2,) * 4), core=0.0)
+        # A float copy of complex integrals would drop their imaginary part.
+        with pytest.raises(TypeError):
+            IntegralSet(n_modes=2, one_body=1j * np.eye(2), two_body=np.zeros((2,) * 4), core=0.0)
+
+    def test_checked_integrals_cannot_change(self):
+        ints = load_integrals(str(FIXTURES / "h2_sto3g.ints"))
+        with pytest.raises(ValueError, match="read-only"):
+            ints.one_body[0, 1] = 9.0
+        with pytest.raises(ValueError, match="read-only"):
+            ints.two_body[0, 0, 0, 0] = 9.0
+        # The caller's arrays stay theirs: the set holds its own copies.
+        one = np.diag([-0.5, -0.5])
+        direct = IntegralSet(n_modes=2, one_body=one, two_body=np.zeros((2,) * 4), core=0.0)
+        one[0, 1] = 9.0
+        assert direct.one_body[0, 1] == 0.0
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "ok.ints"
@@ -398,4 +439,9 @@ class TestRdm:
         d2 = np.zeros((2, 2, 2, 2), dtype=complex)
         d2[0, 1, 0, 1] = 1.0  # missing the antisymmetric partners
         with pytest.raises(ValidationError):
-            RDMPair(n_modes=2, d1=np.zeros((2, 2), dtype=complex), d2=d2).validate()
+            RDMPair(n_modes=2, d1=np.zeros((2, 2), dtype=complex), d2=d2)
+
+    def test_checked_rdm_cannot_change(self):
+        rdm = measure_rdm(StateVector.from_label("01"), 2)
+        with pytest.raises(ValueError, match="read-only"):
+            rdm.d2[0, 1, 0, 1] = 1.0
