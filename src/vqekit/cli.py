@@ -30,7 +30,7 @@ from .errors import VqekitError
 from .fermion import build_hamiltonian, jordan_wigner, load_integrals
 from .pauli import PauliSum
 from .rng import make_rng
-from .simulator import StateVector, expectation_and_variance, ground_state
+from .simulator import StateVector, _expectation, expectation_and_variance, ground_state
 
 __all__ = ["main", "cmd_vqe", "cmd_adiabatic", "cmd_estimate", "cmd_certify"]
 
@@ -295,7 +295,7 @@ def cmd_vqe(cfg: dict, out_override=None, seed_override=None, exact=False, base=
 
         def objective(theta):
             state = _ansatz.prepare_state(ref, acfg, theta)
-            return expectation_and_variance(state, h)[0]
+            return _expectation(state, h)
 
     else:
         if grouping == "auto":

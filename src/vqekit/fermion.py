@@ -13,7 +13,7 @@ The qubit mapping is Jordan-Wigner with mode p on qubit p:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -228,7 +228,14 @@ def _read_only(obj, name: str, dtype) -> None:
     object.__setattr__(obj, name, arr)
 
 
-@dataclass(frozen=True)
+def _equal_by_value(a, b):
+    """`==` for a frozen dataclass with array fields: every field by value."""
+    if type(b) is not type(a):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclass_fields(a))
+
+
+@dataclass(frozen=True, eq=False)
 class IntegralSet:
     """Molecular spin-orbital integrals: h_pq, h_pqrs, and a scalar core.
     Checked once, when built, and stored as read-only float copies."""
@@ -237,6 +244,8 @@ class IntegralSet:
     one_body: np.ndarray
     two_body: np.ndarray
     core: float
+
+    __eq__ = _equal_by_value
 
     def __post_init__(self):
         _read_only(self, "one_body", float)
@@ -346,7 +355,7 @@ def build_hamiltonian(ints: IntegralSet) -> FermionOperator:
     return FermionOperator(m, terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RDMPair:
     """One- and two-body reduced density matrices.
 
@@ -357,6 +366,8 @@ class RDMPair:
     n_modes: int
     d1: np.ndarray
     d2: np.ndarray
+
+    __eq__ = _equal_by_value
 
     def __post_init__(self):
         _read_only(self, "d1", complex)

@@ -178,11 +178,10 @@ class CompiledSum:
     phase and sign, so one group is one gather and one complex diagonal:
     diag = sum_k c_k i^{|x & z_k|} (-1)^{|src & z_k|}, summed in term order.
     The flags are the sum's validation, done once: `hermitian` (merged
-    coefficients real), `antihermitian` (merged coefficients imaginary) and
-    `commuting` (every pair of terms commutes).
+    coefficients real) and `commuting` (every pair of terms commutes).
     """
 
-    __slots__ = ("groups", "hermitian", "antihermitian", "commuting")
+    __slots__ = ("groups", "hermitian", "commuting")
 
     def __init__(self, h: "PauliSum"):
         merged: dict[tuple[int, int], complex] = {}
@@ -198,7 +197,6 @@ class CompiledSum:
             diag += t.coeff * phases
         self.groups = tuple(groups.values())
         self.hermitian = all(abs(c.imag) <= 1e-10 for c in merged.values())
-        self.antihermitian = all(abs(c.real) <= 1e-10 for c in merged.values())
         xs = np.array([x for x, _ in merged], dtype=np.uint64)
         zs = np.array([z for _, z in merged], dtype=np.uint64)
         odd = np.bitwise_count(xs[:, None] & zs[None, :])

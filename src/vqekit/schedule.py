@@ -18,11 +18,12 @@ import numpy as np
 from .errors import ValidationError
 from .pauli import PauliSum
 from .simulator import (
+    _CHUNK_BYTES,
     StateVector,
     _check_tau,
+    _expectation,
     evolve_schedule,
     exact_eigensystem,
-    expectation_and_variance,
     ground_state,
 )
 from . import optimize as _opt
@@ -143,8 +144,13 @@ def spectrum_along_path(h_i: PauliSum, h_p: PauliSum, a_grid) -> np.ndarray:
         raise ValidationError("Hamiltonians act on different qubit counts")
     if not (h_i.is_hermitian() and h_p.is_hermitian()):
         raise ValidationError("spectrum requires Hermitian Hamiltonians")
-    hams = a_grid[:, None, None] * mi + (1.0 - a_grid)[:, None, None] * mp
-    return np.linalg.eigvalsh(hams)
+    # LAPACK solves one matrix at a time, so chunking leaves every value as is.
+    chunk = max(1, _CHUNK_BYTES // mi.nbytes)
+    out = np.empty((a_grid.size, mi.shape[0]))
+    for lo in range(0, a_grid.size, chunk):
+        a = a_grid[lo : lo + chunk, None, None]
+        out[lo : lo + chunk] = np.linalg.eigvalsh(a * mi + (1.0 - a) * mp)
+    return out
 
 
 def _endpoints(h_i: PauliSum, h_p: PauliSum) -> tuple[StateVector, StateVector]:
@@ -249,7 +255,7 @@ def optimize_path(
         sched = make_schedule(family, tau, params)
         final = evolve_schedule(start, sched, h_i, h_p, tau, steps)
         if objective == "energy":
-            return expectation_and_variance(final, h_p)[0]
+            return _expectation(final, h_p)
         return 1.0 - final.fidelity(target)
 
     x0 = _initial_params(family, tau, n_switches)

@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .errors import (
+    CapacityError,
     DimensionError,
     NonCommutingGroupError,
     ValidationError,
 )
-from .pauli import PauliString, PauliSum, commutes
+from .pauli import MAX_DENSE_QUBITS, PauliString, PauliSum, commutes
 
 __all__ = [
     "StateVector",
@@ -130,12 +131,8 @@ def apply_pauli_exponential(state: StateVector, s: PauliString, theta: float) ->
     return StateVector._unchecked(amps, state.n_qubits)
 
 
-def expectation_and_variance(state: StateVector, h: PauliSum) -> tuple[float, float]:
-    """Exact (<H>, Var H) for a Hermitian sum.
-
-    The variance is ||(H - <H>)psi||^2, which keeps its digits near an
-    eigenstate, where <H^2> - <H>^2 cancels to rounding noise.
-    """
+def _mean_and_action(state: StateVector, h: PauliSum) -> tuple[float, np.ndarray]:
+    """(<H>, H psi) for a Hermitian sum; H psi is a fresh array."""
     if h.n_qubits != state.n_qubits:
         raise DimensionError("operator and state qubit counts differ")
     if not h.is_hermitian():
@@ -144,7 +141,21 @@ def expectation_and_variance(state: StateVector, h: PauliSum) -> tuple[float, fl
     mean_c = complex(np.vdot(state.amplitudes, phi))
     if abs(mean_c.imag) > 1e-9 * max(1.0, abs(mean_c)):
         raise ValidationError(f"non-real expectation {mean_c}")
-    mean = mean_c.real
+    return mean_c.real, phi
+
+
+def _expectation(state: StateVector, h: PauliSum) -> float:
+    """<H> alone, for exact objectives: the mean of expectation_and_variance."""
+    return _mean_and_action(state, h)[0]
+
+
+def expectation_and_variance(state: StateVector, h: PauliSum) -> tuple[float, float]:
+    """Exact (<H>, Var H) for a Hermitian sum.
+
+    The variance is ||(H - <H>)psi||^2, which keeps its digits near an
+    eigenstate, where <H^2> - <H>^2 cancels to rounding noise.
+    """
+    mean, phi = _mean_and_action(state, h)
     phi -= mean * state.amplitudes  # phi is ours: reuse it as the residual
     return mean, float(np.real(np.vdot(phi, phi)))
 
@@ -299,6 +310,74 @@ def _check_tau(tau) -> None:
         raise ValidationError(f"tau must be finite and positive, got {tau!r}")
 
 
+# Step kernels of `evolve_schedule`.  Crossovers measured at 400 steps on a
+# 2-core x86 host: eigh is fastest up to d = 8 (10 ms against 13 ms for the
+# dense series; 38 against 16 ms at d = 16), the dense series up to d = 128
+# (154 against 157 ms for compiled applies; 540 against 268 ms at d = 256).
+# Below this dimension every step is an eigendecomposition.
+_TAYLOR_MIN_DIM = 16
+# Longest step, as the bound dt*||H_k||, that the Taylor series takes: up to
+# here one step stays within 1e-15 of expm (7e-16 at 4, 3e-15 at 6).
+_TAYLOR_MAX_NORM = 4.0
+# The series stops once the bound on its tail falls below this.
+_TAYLOR_TOL = 1e-16
+# Up to this dimension H_k is a dense matrix; above it, two compiled applies.
+_DENSE_MAX_DIM = 128
+# Size cap of one (chunk, d, d) complex stack of per-step matrices.
+_CHUNK_BYTES = 1 << 21
+
+
+def _norm_bound(h: PauliSum) -> float:
+    """Sum over X-mask groups of max|diag|: each group is a permutation
+    times a diagonal, so this bounds the operator norm of h."""
+    return sum(float(np.max(np.abs(diag))) for _, diag in h.compiled.groups)
+
+
+def _taylor_degrees(x: np.ndarray) -> np.ndarray:
+    """Least m per entry with sum_{j>m} x^j/j! < _TAYLOR_TOL.
+
+    For x < m + 2 that tail is at most t (m+2)/(m+2-x), t = x^(m+1)/(m+1)!.
+    """
+    degree = np.full(x.shape, -1)
+    term = x.copy()
+    m = 0
+    while (pending := degree < 0).any():
+        degree[pending & (term * (m + 2) < _TAYLOR_TOL * (m + 2 - x))] = m
+        m += 1
+        term = term * x / (m + 1)
+    return degree
+
+
+def _eigh_steps(amps, g, dt, mi, mp):
+    """The state after each step, by U_k = V e^(-iW dt) V^+ from one stacked eigh."""
+    w, v = np.linalg.eigh((1.0 - g)[:, None, None] * mi + g[:, None, None] * mp)
+    u = (v * np.exp(-1j * w * dt)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    for uk in u:
+        amps = uk @ amps
+        yield amps
+
+
+def _taylor_steps(amps, degrees, ops):
+    """The state after each step, by the series of exp(A_k), A_k = -i H_k dt:
+    the vectors A_k^j psi for j <= m_k, weighted by 1/j! in one product.
+    `ops` yields, step by step, the action v -> A_k v."""
+    inv_factorial = 1.0 / np.cumprod(np.maximum(1.0, np.arange(degrees.max() + 1)))
+    krylov = np.empty((inv_factorial.size, amps.size), dtype=complex)
+    for m, op in zip(degrees.tolist(), ops):
+        krylov[0] = amps
+        for j in range(1, m + 1):
+            krylov[j] = op(krylov[j - 1])
+        amps = inv_factorial[: m + 1] @ krylov[: m + 1]
+        yield amps
+
+
+def _compiled_ops(h_i: PauliSum, h_p: PauliSum, a: np.ndarray, b: np.ndarray):
+    """Per step, v -> (a_k H_i + b_k H_p) v by two compiled applies."""
+    ci, cp = h_i.compiled, h_p.compiled
+    for ak, bk in zip(a.tolist(), b.tolist()):
+        yield lambda v, ak=ak, bk=bk: ak * ci.apply(v) + bk * cp.apply(v)
+
+
 def evolve_schedule(
     s0: StateVector,
     sched,
@@ -310,30 +389,60 @@ def evolve_schedule(
 ) -> StateVector:
     """Integrate i d|psi>/dt = H(t)|psi>, H(t) = (1-g(t)) H_i + g(t) H_p.
 
-    Piecewise-constant midpoint rule with exact per-step exponentials via
-    eigendecomposition; global error is O((tau/steps)^2).  `callback(t, state)`,
-    if given, is invoked after every step.
+    Piecewise-constant midpoint rule, H_k = H(t_k) on step k; global error
+    is O((tau/steps)^2).  `callback(t, state)`, if given, is invoked after
+    every step, and does not change the final state by a bit.
+
+    Steps run in chunks; each chunk evaluates g at its midpoints and picks
+    one of two kernels, both exact to rounding:
+
+    * eigh: one stacked eigendecomposition gives every step's propagator
+      V e^(-iW dt) V^+, and a step is one matvec.  It serves d = 2^n below
+      16, and any chunk with a step longer than dt*||H_k|| = 4.
+    * Taylor: exp(-i H_k dt) psi as a series on the vector, of the degree
+      at which the tail bound from ||H_k|| <= |1-g| B_i + |g| B_p (B: the
+      sum over X-mask groups of max|diag|) falls below 1e-16.  H_k is a
+      dense matrix up to d = 128 and two compiled applies above that.
+
+    A chunk's stack of per-step matrices is capped at 2 MiB, so memory does
+    not grow with `steps`, and above d = 128 the Taylor kernel holds no
+    d x d matrix at all.
     """
     _check_tau(tau)
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     if h_i.n_qubits != h_p.n_qubits or h_i.n_qubits != s0.n_qubits:
         raise DimensionError("Hamiltonians and state must share a qubit count")
-    mi = h_i.to_matrix()
-    mp = h_p.to_matrix()
+    n = s0.n_qubits
+    if n > MAX_DENSE_QUBITS:
+        raise CapacityError(f"evolution on {n} qubits exceeds limit {MAX_DENSE_QUBITS}")
     if not (h_i.is_hermitian() and h_p.is_hermitian()):
         raise ValidationError("evolution requires Hermitian Hamiltonians")
+    d = 1 << n
     dt = tau / steps
-    t_mid = (np.arange(steps) + 0.5) * dt
-    g = np.asarray(sched.evaluate(t_mid), dtype=float)
-    if g.shape != t_mid.shape:
-        raise ValidationError("schedule must evaluate an array of times elementwise")
-    hams = (1.0 - g)[:, None, None] * mi + g[:, None, None] * mp
-    w, v = np.linalg.eigh(hams)
+    b_i, b_p = _norm_bound(h_i), _norm_bound(h_p)
+    dense = cache(lambda: (h_i.to_matrix(), h_p.to_matrix()))
+    chunk = max(1, _CHUNK_BYTES // (16 * d * d))
     amps = s0.amplitudes.copy()
-    for k in range(steps):
-        vk = v[k]
-        amps = vk @ (np.exp(-1j * w[k] * dt) * (vk.conj().T @ amps))
-        if callback is not None:
-            callback((k + 1) * dt, StateVector._unchecked(amps.copy(), s0.n_qubits))
-    return StateVector._unchecked(amps, s0.n_qubits)
+    for lo in range(0, steps, chunk):
+        t_mid = (np.arange(lo, min(lo + chunk, steps)) + 0.5) * dt
+        g = np.asarray(sched.evaluate(t_mid), dtype=float)
+        if g.shape != t_mid.shape:
+            raise ValidationError("schedule must evaluate an array of times elementwise")
+        if not np.isfinite(g).all():
+            raise ValidationError("schedule values must be finite")
+        x = dt * (np.abs(1.0 - g) * b_i + np.abs(g) * b_p)
+        if d >= _TAYLOR_MIN_DIM and x.max() <= _TAYLOR_MAX_NORM:
+            a, b = -1j * dt * (1.0 - g), -1j * dt * g
+            if d > _DENSE_MAX_DIM:
+                ops = _compiled_ops(h_i, h_p, a, b)
+            else:
+                mi, mp = dense()
+                ops = (hk.__matmul__ for hk in a[:, None, None] * mi + b[:, None, None] * mp)
+            states = _taylor_steps(amps, _taylor_degrees(x), ops)
+        else:
+            states = _eigh_steps(amps, g, dt, *dense())
+        for k, amps in enumerate(states, start=lo + 1):
+            if callback is not None:
+                callback(k * dt, StateVector._unchecked(amps.copy(), n))
+    return StateVector._unchecked(amps, n)

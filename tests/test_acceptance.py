@@ -57,6 +57,27 @@ def test_c01_measurement_cost_worked_example(twospin, state01):
             assert math.isclose(n * eps * eps, coeff, rel_tol=1e-12), groups
 
 
+def test_ten_qubit_annealing():
+    """A transverse-field Ising chain at 10 qubits anneals within budget.
+
+    The step kernel holds no d x d matrix at this size; a stack of every
+    step's eigendecomposition, as the integrator once built, needs about
+    7 GB here."""
+    n = 10
+
+    def label(ops):
+        return "".join(ops.get(n - 1 - j, "I") for j in range(n))
+
+    with wall_budget(20.0):
+        h_i = vk.PauliSum.hermitian([(-1.0, label({q: "X"})) for q in range(n)])
+        h_p = vk.PauliSum.hermitian(
+            [(-1.0, label({q: "Z", q + 1: "Z"})) for q in range(n - 1)]
+            + [(-(0.5 + 0.05 * q), label({q: "Z"})) for q in range(n)]
+        )
+        success = vk.success_probability(vk.Schedule.linear(10.0), h_i, h_p)
+        assert 0.9 < success <= 1.0 + 1e-12
+
+
 def test_c02_avoided_crossing():
     """Minimum gap of the 1-qubit crossing on a millistep grid."""
     with wall_budget(1.0):

@@ -130,7 +130,6 @@ class TestKernel:
         m = kron_sum(h)
         cg = h.compiled
         assert cg.hermitian == np.array_equal(m, m.conj().T)
-        assert cg.antihermitian == np.array_equal(m, -m.conj().T)
         pairwise = all(
             np.array_equal(dense(a.string.letters) @ dense(b.string.letters),
                            dense(b.string.letters) @ dense(a.string.letters))

@@ -376,6 +376,17 @@ class TestIntegralFile:
         one[0, 1] = 9.0
         assert direct.one_body[0, 1] == 0.0
 
+    def test_equality_compares_values(self):
+        # The generated __eq__ compared arrays inside a tuple and raised.
+        path = str(FIXTURES / "h2_sto3g.ints")
+        a, b = load_integrals(path), load_integrals(path)
+        assert a == b and not a != b
+        assert a != IntegralSet(a.n_modes, a.one_body, a.two_body, a.core + 1.0)
+        assert a != IntegralSet(a.n_modes, 2 * a.one_body, a.two_body, a.core)
+        assert a != "integrals"
+        with pytest.raises(TypeError):
+            hash(a)
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "ok.ints"
         path.write_text(
@@ -445,3 +456,10 @@ class TestRdm:
         rdm = measure_rdm(StateVector.from_label("01"), 2)
         with pytest.raises(ValueError, match="read-only"):
             rdm.d2[0, 1, 0, 1] = 1.0
+
+    def test_equality_compares_values(self):
+        one = measure_rdm(StateVector.from_label("01"), 2)
+        assert one == measure_rdm(StateVector.from_label("01"), 2)
+        assert one != measure_rdm(StateVector.from_label("10"), 2)
+        with pytest.raises(TypeError):
+            hash(one)

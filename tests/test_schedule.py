@@ -129,6 +129,18 @@ class TestSpectrumAlongPath:
         assert grid[k] == pytest.approx(0.495, abs=1e-12)
         assert gaps[k] == pytest.approx(0.09950376877284595, abs=1e-12)
 
+    def test_chunks_leave_every_value_as_is(self):
+        # 10001 two-qubit points span two chunks; LAPACK solves one matrix
+        # at a time, so the values match one stacked call bit for bit.
+        h_i = PauliSum.hermitian([(-1.0, "XI"), (-1.0, "IX"), (0.3, "YY")])
+        h_p = PauliSum.hermitian([(0.7, "ZZ"), (-0.2, "ZI"), (0.5, "IZ")])
+        grid = np.linspace(0.0, 1.0, 10001)
+        mi, mp = h_i.to_matrix(), h_p.to_matrix()
+        stacked = np.linalg.eigvalsh(
+            grid[:, None, None] * mi + (1.0 - grid)[:, None, None] * mp
+        )
+        assert np.array_equal(spectrum_along_path(h_i, h_p, grid), stacked)
+
     def test_qubit_mismatch(self):
         h_i, _ = one_qubit_pair()
         with pytest.raises(ValidationError):
@@ -169,6 +181,28 @@ class TestSuccessProbability:
             for tau in (5.0, 20.0, 80.0)
         ]
         assert vals[0] < vals[1] < vals[2]
+
+    def test_uncoupled_spins_factorize(self):
+        # With no couplings every term commutes, so each midpoint step is a
+        # product of one-qubit steps and the success probability is the
+        # product of eight one-qubit runs: the Taylor kernel at d = 256
+        # against the eigh kernel at d = 2.
+        n = 8
+        fields = [0.5 + 0.05 * q for q in range(n)]
+
+        def label(q, letter):
+            return "".join(letter if n - 1 - j == q else "I" for j in range(n))
+
+        h_i = PauliSum.hermitian([(-1.0, label(q, "X")) for q in range(n)])
+        h_p = PauliSum.hermitian([(-f, label(q, "Z")) for q, f in enumerate(fields)])
+        sched = Schedule.linear(6.0)
+        want = np.prod([
+            success_probability(
+                sched, PauliSum.hermitian([(-1.0, "X")]), PauliSum.hermitian([(-f, "Z")])
+            )
+            for f in fields
+        ])
+        assert success_probability(sched, h_i, h_p) == pytest.approx(want, abs=1e-12)
 
     def test_huge_tau_rejected(self):
         # 20 * tau overflows to inf, which no step count can hold.

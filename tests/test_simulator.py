@@ -1,5 +1,11 @@
 """State vectors, Pauli application, sampling, and the time integrator."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +28,7 @@ from vqekit import (
     multiply,
     sample_group,
 )
+from vqekit import simulator
 from vqekit.errors import (
     CapacityError,
     DimensionError,
@@ -185,12 +192,23 @@ class TestExpectation:
 
     def test_rejects_non_hermitian(self):
         h = PauliSum.from_terms([(1j, "X")])
-        with pytest.raises(ValidationError):
-            expectation_and_variance(StateVector.from_label("0"), h)
+        for fn in (expectation_and_variance, simulator._expectation):
+            with pytest.raises(ValidationError):
+                fn(StateVector.from_label("0"), h)
 
     def test_dimension_mismatch(self, twospin):
-        with pytest.raises(DimensionError):
-            expectation_and_variance(StateVector.from_label("0"), twospin)
+        for fn in (expectation_and_variance, simulator._expectation):
+            with pytest.raises(DimensionError):
+                fn(StateVector.from_label("0"), twospin)
+
+    def test_mean_only_is_the_same_mean(self, h2_hamiltonian):
+        # Exact objectives skip the variance; their values must not move.
+        rng = np.random.default_rng(31)
+        for h in (h2_hamiltonian, PauliSum.hermitian([(0.3, "XZY"), (-1.1, "ZZI")])):
+            for _ in range(10):
+                state = random_state(rng, h.n_qubits)
+                mean = simulator._expectation(state, h)
+                assert mean == expectation_and_variance(state, h)[0]
 
 
 class TestEigensystem:
@@ -545,3 +563,149 @@ class TestEvolveSchedule:
         bad = PauliSum.from_terms([(1j, "XI")])
         with pytest.raises(ValidationError):
             evolve_schedule(s0, sched, h_i, bad, 1.0, steps=4)
+
+    def test_non_finite_schedule_values(self):
+        # NaN and inf used to reach eigh ("did not converge"); a series on
+        # them would never stop.  Checked at 2 and at 4 qubits, on both
+        # sides of the kernel crossover.
+        s2 = StateVector.from_label("00")
+        s4 = StateVector.from_label("0000")
+        h_i4, h_p4 = ising_pair(4, np.random.default_rng(2))
+        for bad in (np.nan, np.inf, -np.inf):
+            sched = _FnSchedule(lambda t, v=bad: np.where(t > 0.5, v, 0.3))
+            with pytest.raises(ValidationError, match="finite"):
+                evolve_schedule(s2, sched, *two_qubit_pair(), 1.0, steps=4)
+            with pytest.raises(ValidationError, match="finite"):
+                evolve_schedule(s4, sched, h_i4, h_p4, 1.0, steps=4)
+
+
+def ising_pair(n, rng):
+    """-sum X against seeded ZZ couplings, Z fields and one XY coupling, so
+    the problem side has more than one X-mask group."""
+
+    def label(ops):
+        return "".join(ops.get(n - 1 - j, "I") for j in range(n))
+
+    h_i = PauliSum.hermitian([(-1.0, label({q: "X"})) for q in range(n)])
+    terms = [(rng.uniform(-1, 1), label({q: "Z"})) for q in range(n)]
+    terms += [(rng.uniform(-1, 1), label({q: "Z", q + 1: "Z"})) for q in range(n - 1)]
+    if n > 1:
+        terms.append((0.4, label({0: "X", 1: "Y"})))
+    return h_i, PauliSum.hermitian(terms)
+
+
+def midpoint_oracle(s0, sched, h_i, h_p, tau, steps):
+    """The midpoint rule with scipy's expm on every step."""
+    mi, mp = h_i.to_matrix(), h_p.to_matrix()
+    dt = tau / steps
+    amps = s0.amplitudes
+    for k in range(steps):
+        g = float(sched.evaluate(np.array([(k + 0.5) * dt]))[0])
+        amps = expm(-1j * dt * ((1 - g) * mi + g * mp)) @ amps
+    return amps
+
+
+class TestEvolveKernels:
+    """Each step kernel against expm per step, on both sides of each
+    crossover: eigh below d = 16, Taylor with a dense H_k up to d = 128,
+    Taylor with compiled applies above."""
+
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        ran = []
+        for name in ("_eigh_steps", "_taylor_steps"):
+            real = getattr(simulator, name)
+
+            def spy(*args, real=real, name=name):
+                ran.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(simulator, name, spy)
+        return ran
+
+    @pytest.mark.parametrize(
+        "n, kernel", [(1, "_eigh_steps"), (3, "_eigh_steps"), (4, "_taylor_steps"),
+                      (5, "_taylor_steps"), (8, "_taylor_steps")]
+    )
+    def test_matches_expm_per_step(self, n, kernel, kernels):
+        rng = np.random.default_rng(40 + n)
+        h_i, h_p = ising_pair(n, rng)
+        s0 = random_state(rng, n)
+        sched = _FnSchedule(lambda t: (t / 1.5) ** 2)
+        out = evolve_schedule(s0, sched, h_i, h_p, 1.5, steps=6)
+        assert set(kernels) == {kernel}
+        want = midpoint_oracle(s0, sched, h_i, h_p, 1.5, 6)
+        np.testing.assert_allclose(out.amplitudes, want, rtol=0, atol=1e-13)
+
+    def test_compiled_applies_match_dense_matrix(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        h_i, h_p = ising_pair(4, rng)
+        s0 = random_state(rng, 4)
+        sched = _FnSchedule(lambda t: t / 2.0)
+        dense = evolve_schedule(s0, sched, h_i, h_p, 2.0, steps=20).amplitudes
+        monkeypatch.setattr(simulator, "_DENSE_MAX_DIM", 0)
+        compiled = evolve_schedule(s0, sched, h_i, h_p, 2.0, steps=20).amplitudes
+        np.testing.assert_allclose(compiled, dense, rtol=0, atol=1e-13)
+
+    def test_long_step_takes_eigh(self, kernels):
+        # One step of dt * ||H|| far past the series' limit.
+        rng = np.random.default_rng(45)
+        h_i, h_p = ising_pair(5, rng)
+        s0 = random_state(rng, 5)
+        sched = _FnSchedule(lambda t: np.full_like(t, 0.6))
+        out = evolve_schedule(s0, sched, h_i, h_p, 25.0, steps=1)
+        assert kernels == ["_eigh_steps"]
+        want = midpoint_oracle(s0, sched, h_i, h_p, 25.0, 1)
+        np.testing.assert_allclose(out.amplitudes, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_callback_leaves_final_state_bit_identical(self, n):
+        rng = np.random.default_rng(50 + n)
+        h_i, h_p = ising_pair(n, rng)
+        s0 = random_state(rng, n)
+        sched = _FnSchedule(lambda t: t / 3.0)
+        plain = evolve_schedule(s0, sched, h_i, h_p, 3.0, steps=60)
+        seen = []
+        watched = evolve_schedule(
+            s0, sched, h_i, h_p, 3.0, steps=60, callback=lambda t, st: seen.append(st)
+        )
+        assert len(seen) == 60
+        assert np.array_equal(watched.amplitudes, plain.amplitudes)
+        assert np.array_equal(seen[-1].amplitudes, plain.amplitudes)
+
+    def test_taylor_degrees_meet_the_tolerance(self):
+        # Enough terms for the 1e-16 tail, and at most one more than needed.
+        def tail(x, m):
+            return sum(x**j / math.factorial(j) for j in range(m + 1, m + 80))
+
+        x = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0])
+        for xi, m in zip(x, simulator._taylor_degrees(x)):
+            assert tail(xi, m) < simulator._TAYLOR_TOL
+            assert m < 2 or tail(xi, m - 2) >= simulator._TAYLOR_TOL
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_peak_memory_does_not_grow_with_steps(self):
+        # The old integrator held every step's matrix and eigenvectors:
+        # about 36 MB at 2e4 steps and 96 MB at 4e5 on one qubit.  The peak
+        # is the child's VmHWM: ru_maxrss survives fork and exec, so a child
+        # of a large test process would report the parent's peak.
+        code = (
+            "import sys, vqekit as vk\n"
+            "h_i = vk.PauliSum.hermitian([(0.5, 'I'), (-0.5, 'Z'), (0.1, 'X')])\n"
+            "h_p = vk.PauliSum.hermitian([(0.5, 'I'), (0.5, 'Z')])\n"
+            "s0 = vk.StateVector.from_label('0')\n"
+            "vk.evolve_schedule(s0, vk.Schedule.linear(20.0), h_i, h_p, 20.0, int(sys.argv[1]))\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(status.split('VmHWM:')[1].split()[0])\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+        )
+        peak_kb = [
+            int(subprocess.run([sys.executable, "-c", code, str(steps)], capture_output=True,
+                               text=True, env=env, check=True, timeout=300).stdout)
+            for steps in (20_000, 400_000)
+        ]
+        assert peak_kb[1] - peak_kb[0] < 10 * 1024, peak_kb
