@@ -11,14 +11,13 @@ along the path are reported against A = 1 - g, the weight of H_i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .pauli import PauliSum
 from .simulator import (
-    _CHUNK_BYTES,
     StateVector,
     _check_tau,
     _expectation,
@@ -44,6 +43,9 @@ _KNOT_LO = 0.15
 _KNOT_HI = 0.85
 # Overlap samples along a recorded path, both ends included.
 TRAJECTORY_POINTS = 201
+# Size cap of one (chunk, d, d) stack in `spectrum_along_path`.  It is glibc's
+# default mmap threshold: larger stacks come from fresh pages on every call.
+_CHUNK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -54,27 +56,19 @@ class Schedule:
     tau: float
     theta: tuple[float, ...] = ()
     switches: tuple[float, ...] = ()
-    start_level: int = 0
-    _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _check_tau(self.tau)
+        if not all(math.isfinite(v) for v in self.theta):
+            raise ValidationError(f"schedule parameters must be finite, got {self.theta!r}")
         if self.variant == "linear":
             (theta1,) = self.theta
             if theta1 * self.tau < 1.0 - 1e-12:
                 raise ValidationError("linear rate never reaches g = 1 by tau")
         elif self.variant == "spline":
-            from scipy.interpolate import CubicSpline  # slow import; kept off `import vqekit`
-
-            theta1, theta2 = self.theta
-            xs = np.array([0.0, _KNOT_LO * self.tau, _KNOT_HI * self.tau, self.tau])
-            ys = np.array([0.0, theta1, theta2, 1.0])
-            object.__setattr__(
-                self, "_spline", CubicSpline(xs, ys, bc_type="natural")
-            )
+            if len(self.theta) != 2:
+                raise ValidationError("a spline takes two inner knot values")
         elif self.variant == "bang_bang":
-            if self.start_level not in (0, 1):
-                raise ValidationError("start_level must be 0 or 1")
             sw = tuple(sorted(float(t) for t in self.switches))
             if sw and (sw[0] < 0.0 or sw[-1] > self.tau):
                 raise ValidationError("switch times must lie in [0, tau]")
@@ -94,13 +88,9 @@ class Schedule:
         return cls(variant="spline", tau=tau, theta=(float(theta1), float(theta2)))
 
     @classmethod
-    def bang_bang(cls, tau: float, switches, start_level: int = 0) -> "Schedule":
-        return cls(
-            variant="bang_bang",
-            tau=tau,
-            switches=tuple(switches),
-            start_level=start_level,
-        )
+    def bang_bang(cls, tau: float, switches) -> "Schedule":
+        """g flips between 0 and 1 at each switch time, starting from 0."""
+        return cls(variant="bang_bang", tau=tau, switches=tuple(switches))
 
     def evaluate(self, t):
         """g(t), elementwise on arrays; t must lie in [0, tau]."""
@@ -111,12 +101,27 @@ class Schedule:
         if self.variant == "linear":
             g = np.minimum(1.0, self.theta[0] * t)
         elif self.variant == "spline":
-            g = np.clip(self._spline(t), 0.0, 1.0)
+            g = np.clip(self._natural_cubic(t), 0.0, 1.0)
         else:
-            flips = np.searchsorted(np.asarray(self.switches), t, side="right")
-            g = (self.start_level + flips) % 2
+            g = np.searchsorted(np.asarray(self.switches), t, side="right") % 2
         g = np.asarray(g, dtype=float)
         return float(g) if g.ndim == 0 else g
+
+    def _natural_cubic(self, t: np.ndarray) -> np.ndarray:
+        """The natural cubic spline through (0, 0), (0.15 tau, theta1),
+        (0.85 tau, theta2) and (tau, 1), in powers of t - (left knot)."""
+        x = np.array([0.0, _KNOT_LO * self.tau, _KNOT_HI * self.tau, self.tau])
+        y = np.array([0.0, *self.theta, 1.0])
+        h = np.diff(x)
+        slope = np.diff(y) / h
+        # Second derivatives m: zero at both ends, and at the inner knots the
+        # 2x2 solve that makes the first derivative continuous.
+        a = np.array([[2.0 * (h[0] + h[1]), h[1]], [h[1], 2.0 * (h[1] + h[2])]])
+        m = np.concatenate([[0.0], np.linalg.solve(a, 6.0 * np.diff(slope)), [0.0]])
+        i = np.searchsorted(x[1:3], t, side="right")
+        u, hi, mi, mj = t - x[i], h[i], m[i], m[i + 1]
+        c1 = slope[i] - hi * (2.0 * mi + mj) / 6.0
+        return y[i] + u * (c1 + u * (mi / 2.0 + u * (mj - mi) / (6.0 * hi)))
 
 
 @dataclass(frozen=True)
@@ -189,7 +194,7 @@ def make_schedule(family: str, tau: float, params: np.ndarray) -> Schedule:
     if family == "spline":
         return Schedule.spline(tau, float(params[0]), float(params[1]))
     if family == "bang_bang":
-        return Schedule.bang_bang(tau, np.clip(params, 0.0, tau), start_level=0)
+        return Schedule.bang_bang(tau, np.clip(params, 0.0, tau))
     raise ValidationError(f"unknown schedule family {family!r}")
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -310,21 +310,21 @@ def _check_tau(tau) -> None:
         raise ValidationError(f"tau must be finite and positive, got {tau!r}")
 
 
-# Step kernels of `evolve_schedule`.  Crossovers measured at 400 steps on a
-# 2-core x86 host: eigh is fastest up to d = 8 (10 ms against 13 ms for the
-# dense series; 38 against 16 ms at d = 16), the dense series up to d = 128
-# (154 against 157 ms for compiled applies; 540 against 268 ms at d = 256).
-# Below this dimension every step is an eigendecomposition.
+# Step kernels of `evolve_schedule`, picked from d = 2^n alone.  Crossovers
+# measured at 400 steps on a 2-core x86 host: eigh is fastest up to d = 8 (10 ms
+# against 13 ms for the dense series; 38 against 16 ms at d = 16), the dense
+# series up to d = 128 (71 against 170 ms for compiled applies; 261 against
+# 219 ms at d = 256).  Below this dimension every step is an eigendecomposition.
 _TAYLOR_MIN_DIM = 16
-# Longest step, as the bound dt*||H_k||, that the Taylor series takes: up to
-# here one step stays within 1e-15 of expm (7e-16 at 4, 3e-15 at 6).
+# Longest series step, as the bound dt*||H_k||, before a step is split into
+# substeps: up to here one stays within 1e-15 of expm (7e-16 at 4, 3e-15 at 6).
 _TAYLOR_MAX_NORM = 4.0
 # The series stops once the bound on its tail falls below this.
 _TAYLOR_TOL = 1e-16
 # Up to this dimension H_k is a dense matrix; above it, two compiled applies.
 _DENSE_MAX_DIM = 128
-# Size cap of one (chunk, d, d) complex stack of per-step matrices.
-_CHUNK_BYTES = 1 << 21
+# Steps per chunk; the eigh kernel's (chunk, d, d) stack is 2 MiB at d = 8.
+_CHUNK_STEPS = 2048
 
 
 def _norm_bound(h: PauliSum) -> float:
@@ -357,25 +357,24 @@ def _eigh_steps(amps, g, dt, mi, mp):
         yield amps
 
 
-def _taylor_steps(amps, degrees, ops):
-    """The state after each step, by the series of exp(A_k), A_k = -i H_k dt:
-    the vectors A_k^j psi for j <= m_k, weighted by 1/j! in one product.
-    `ops` yields, step by step, the action v -> A_k v."""
+def _taylor_steps(amps, g, dt, x, matvec):
+    """The state after each step, by the series of exp(A_k), A_k = -i H_k dt,
+    in ceil(x_k / _TAYLOR_MAX_NORM) substeps for a bound x_k >= ||A_k||: the
+    vectors A^j psi for j <= m, weighted by 1/j! in one product.
+    `matvec(a, b)` is the action v -> (a H_i + b H_p) v."""
+    substeps = np.maximum(1.0, np.ceil(x / _TAYLOR_MAX_NORM))
+    sub_dt = dt / substeps
+    degrees = _taylor_degrees(x / substeps)
     inv_factorial = 1.0 / np.cumprod(np.maximum(1.0, np.arange(degrees.max() + 1)))
     krylov = np.empty((inv_factorial.size, amps.size), dtype=complex)
-    for m, op in zip(degrees.tolist(), ops):
-        krylov[0] = amps
-        for j in range(1, m + 1):
-            krylov[j] = op(krylov[j - 1])
-        amps = inv_factorial[: m + 1] @ krylov[: m + 1]
+    ops = map(matvec, (-1j * sub_dt * (1.0 - g)).tolist(), (-1j * sub_dt * g).tolist())
+    for m, s, op in zip(degrees.tolist(), substeps.astype(int).tolist(), ops):
+        for _ in range(s):
+            krylov[0] = amps
+            for j in range(1, m + 1):
+                krylov[j] = op(krylov[j - 1])
+            amps = inv_factorial[: m + 1] @ krylov[: m + 1]
         yield amps
-
-
-def _compiled_ops(h_i: PauliSum, h_p: PauliSum, a: np.ndarray, b: np.ndarray):
-    """Per step, v -> (a_k H_i + b_k H_p) v by two compiled applies."""
-    ci, cp = h_i.compiled, h_p.compiled
-    for ak, bk in zip(a.tolist(), b.tolist()):
-        yield lambda v, ak=ak, bk=bk: ak * ci.apply(v) + bk * cp.apply(v)
 
 
 def evolve_schedule(
@@ -393,20 +392,17 @@ def evolve_schedule(
     is O((tau/steps)^2).  `callback(t, state)`, if given, is invoked after
     every step, and does not change the final state by a bit.
 
-    Steps run in chunks; each chunk evaluates g at its midpoints and picks
-    one of two kernels, both exact to rounding:
+    Steps run in chunks of 2048, each of which evaluates g at its midpoints.
+    The kernel depends on d = 2^n alone, and both are exact to rounding:
 
-    * eigh: one stacked eigendecomposition gives every step's propagator
-      V e^(-iW dt) V^+, and a step is one matvec.  It serves d = 2^n below
-      16, and any chunk with a step longer than dt*||H_k|| = 4.
+    * eigh (d < 16): one stacked eigendecomposition per chunk gives every
+      step's propagator V e^(-iW dt) V^+, and a step is one matvec.
     * Taylor: exp(-i H_k dt) psi as a series on the vector, of the degree
       at which the tail bound from ||H_k|| <= |1-g| B_i + |g| B_p (B: the
-      sum over X-mask groups of max|diag|) falls below 1e-16.  H_k is a
-      dense matrix up to d = 128 and two compiled applies above that.
-
-    A chunk's stack of per-step matrices is capped at 2 MiB, so memory does
-    not grow with `steps`, and above d = 128 the Taylor kernel holds no
-    d x d matrix at all.
+      sum over X-mask groups of max|diag|) falls below 1e-16; a step with
+      dt*||H_k|| over 4 runs as ceil(dt*||H_k|| / 4) substeps.  H_k is one
+      dense matrix per step up to d = 128, and two compiled applies above,
+      where nothing of size d x d is held.  Memory does not grow with `steps`.
     """
     _check_tau(tau)
     if steps < 1:
@@ -420,28 +416,26 @@ def evolve_schedule(
         raise ValidationError("evolution requires Hermitian Hamiltonians")
     d = 1 << n
     dt = tau / steps
+    if d > _DENSE_MAX_DIM:
+        ci, cp = h_i.compiled, h_p.compiled
+        matvec = lambda a, b: lambda v: a * ci.apply(v) + b * cp.apply(v)
+    else:
+        mi, mp = h_i.to_matrix(), h_p.to_matrix()
+        matvec = lambda a, b: (a * mi + b * mp).__matmul__
     b_i, b_p = _norm_bound(h_i), _norm_bound(h_p)
-    dense = cache(lambda: (h_i.to_matrix(), h_p.to_matrix()))
-    chunk = max(1, _CHUNK_BYTES // (16 * d * d))
     amps = s0.amplitudes.copy()
-    for lo in range(0, steps, chunk):
-        t_mid = (np.arange(lo, min(lo + chunk, steps)) + 0.5) * dt
+    for lo in range(0, steps, _CHUNK_STEPS):
+        t_mid = (np.arange(lo, min(lo + _CHUNK_STEPS, steps)) + 0.5) * dt
         g = np.asarray(sched.evaluate(t_mid), dtype=float)
         if g.shape != t_mid.shape:
             raise ValidationError("schedule must evaluate an array of times elementwise")
         if not np.isfinite(g).all():
             raise ValidationError("schedule values must be finite")
-        x = dt * (np.abs(1.0 - g) * b_i + np.abs(g) * b_p)
-        if d >= _TAYLOR_MIN_DIM and x.max() <= _TAYLOR_MAX_NORM:
-            a, b = -1j * dt * (1.0 - g), -1j * dt * g
-            if d > _DENSE_MAX_DIM:
-                ops = _compiled_ops(h_i, h_p, a, b)
-            else:
-                mi, mp = dense()
-                ops = (hk.__matmul__ for hk in a[:, None, None] * mi + b[:, None, None] * mp)
-            states = _taylor_steps(amps, _taylor_degrees(x), ops)
+        if d < _TAYLOR_MIN_DIM:
+            states = _eigh_steps(amps, g, dt, mi, mp)
         else:
-            states = _eigh_steps(amps, g, dt, *dense())
+            x = dt * (np.abs(1.0 - g) * b_i + np.abs(g) * b_p)
+            states = _taylor_steps(amps, g, dt, x, matvec)
         for k, amps in enumerate(states, start=lo + 1):
             if callback is not None:
                 callback(k * dt, StateVector._unchecked(amps.copy(), n))

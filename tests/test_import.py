@@ -14,8 +14,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_import_leaves_slow_scipy_submodules_unloaded():
+    # Building and evaluating a spline schedule loads none of them either.
     code = (
         "import sys, vqekit; "
+        "vqekit.Schedule.spline(2.0, 0.3, 0.7).evaluate([0.5, 1.0]); "
         "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))

@@ -49,6 +49,29 @@ class TestScheduleFamilies:
         t = np.linspace(0.0, 10.0, 101)
         np.testing.assert_allclose(s.evaluate(t), t / 10.0, atol=1e-12)
 
+    def test_spline_matches_scipy_natural_cubic(self):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            tau = float(rng.uniform(0.5, 50.0))
+            theta = rng.uniform(-0.5, 1.5, 2)
+            knots = [0.0, 0.15 * tau, 0.85 * tau, tau]
+            oracle = CubicSpline(knots, [0.0, *theta, 1.0], bc_type="natural")
+            t = np.concatenate([np.linspace(0.0, tau, 97), knots])
+            want = np.clip(oracle(t), 0.0, 1.0)
+            got = Schedule.spline(tau, *theta).evaluate(t)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_rejects_non_finite_parameters(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValidationError, match="must be finite"):
+                Schedule.spline(1.0, bad, 0.8)
+            with pytest.raises(ValidationError, match="must be finite"):
+                make_schedule("spline", 1.0, np.array([0.2, bad]))
+            with pytest.raises(ValidationError, match="must be finite"):
+                Schedule.linear(1.0, bad)
+
     def test_spline_stays_in_unit_interval(self):
         s = Schedule.spline(1.0, -0.3, 1.4)
         g = s.evaluate(np.linspace(0.0, 1.0, 301))
@@ -60,16 +83,10 @@ class TestScheduleFamilies:
         np.testing.assert_allclose(
             s.evaluate(np.array([0.0, 0.5, 1.5, 2.5])), [0, 0, 1, 0]
         )
-        flipped = Schedule.bang_bang(3.0, [1.0, 2.0], start_level=1)
-        np.testing.assert_allclose(
-            flipped.evaluate(np.array([0.5, 1.5, 2.5])), [1, 0, 1]
-        )
 
     def test_bang_bang_validation(self):
         with pytest.raises(ValidationError):
             Schedule.bang_bang(1.0, [1.5])
-        with pytest.raises(ValidationError):
-            Schedule.bang_bang(1.0, [0.5], start_level=2)
 
     def test_variant_and_tau_validation(self):
         with pytest.raises(ValidationError):
@@ -130,7 +147,7 @@ class TestSpectrumAlongPath:
         assert gaps[k] == pytest.approx(0.09950376877284595, abs=1e-12)
 
     def test_chunks_leave_every_value_as_is(self):
-        # 10001 two-qubit points span two chunks; LAPACK solves one matrix
+        # 10001 two-qubit points span 20 chunks; LAPACK solves one matrix
         # at a time, so the values match one stacked call bit for bit.
         h_i = PauliSum.hermitian([(-1.0, "XI"), (-1.0, "IX"), (0.3, "YY")])
         h_p = PauliSum.hermitian([(0.7, "ZZ"), (-0.2, "ZI"), (0.5, "IZ")])

@@ -608,7 +608,7 @@ def midpoint_oracle(s0, sched, h_i, h_p, tau, steps):
 class TestEvolveKernels:
     """Each step kernel against expm per step, on both sides of each
     crossover: eigh below d = 16, Taylor with a dense H_k up to d = 128,
-    Taylor with compiled applies above."""
+    Taylor with compiled applies above; long steps run as Taylor substeps."""
 
     @pytest.fixture
     def kernels(self, monkeypatch):
@@ -647,16 +647,42 @@ class TestEvolveKernels:
         compiled = evolve_schedule(s0, sched, h_i, h_p, 2.0, steps=20).amplitudes
         np.testing.assert_allclose(compiled, dense, rtol=0, atol=1e-13)
 
-    def test_long_step_takes_eigh(self, kernels):
+    def test_long_step_takes_substeps(self, kernels):
         # One step of dt * ||H|| far past the series' limit.
         rng = np.random.default_rng(45)
         h_i, h_p = ising_pair(5, rng)
         s0 = random_state(rng, 5)
         sched = _FnSchedule(lambda t: np.full_like(t, 0.6))
         out = evolve_schedule(s0, sched, h_i, h_p, 25.0, steps=1)
-        assert kernels == ["_eigh_steps"]
+        assert kernels == ["_taylor_steps"]
         want = midpoint_oracle(s0, sched, h_i, h_p, 25.0, 1)
         np.testing.assert_allclose(out.amplitudes, want, rtol=0, atol=1e-12)
+
+    def test_long_step_above_dense_limit_builds_no_matrix(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        h_i, h_p = ising_pair(8, rng)
+        s0 = random_state(rng, 8)
+        sched = _FnSchedule(lambda t: np.full_like(t, 0.6))
+        want = midpoint_oracle(s0, sched, h_i, h_p, 25.0, 1)
+
+        def no_dense(self):
+            raise AssertionError("evolve_schedule built a dense matrix")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PauliSum, "to_matrix", no_dense)
+            out = evolve_schedule(s0, sched, h_i, h_p, 25.0, steps=1)
+        np.testing.assert_allclose(out.amplitudes, want, rtol=0, atol=1e-12)
+
+    def test_one_schedule_call_per_chunk(self):
+        # g is evaluated once per chunk of steps, above d = 128 too.
+        rng = np.random.default_rng(47)
+        h_i, h_p = ising_pair(8, rng)
+        s0 = random_state(rng, 8)
+        calls = []
+        sched = _FnSchedule(lambda t: calls.append(t.size) or np.full_like(t, 0.5))
+        steps = simulator._CHUNK_STEPS + 3
+        evolve_schedule(s0, sched, h_i, h_p, 1e-3 * steps, steps=steps)
+        assert calls == [simulator._CHUNK_STEPS, 3]
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_callback_leaves_final_state_bit_identical(self, n):
