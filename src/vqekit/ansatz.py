@@ -16,7 +16,7 @@ makes a single order-2 slice an arbitrary SU(4) action on two qubits.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -273,11 +273,9 @@ def prepare_state(
     else:
         blocks = params.reshape(n_slices, len(gens))
         for t in range(n_slices):
-            combined = PauliSum.zero(gens.n_qubits)
-            for g, theta in zip(gens.generators, blocks[t]):
-                if theta != 0.0:
-                    combined = combined + theta * g
-            amps = _exp_generator(amps, combined, 1.0)
+            pairs = zip(gens.generators, blocks[t])
+            terms = [term for g, theta in pairs if theta != 0.0 for term in (theta * g).terms]
+            amps = _exp_generator(amps, PauliSum(gens.n_qubits, terms), 1.0)
     return StateVector._unchecked(amps, gens.n_qubits)
 
 

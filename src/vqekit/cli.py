@@ -30,7 +30,7 @@ from .errors import VqekitError
 from .fermion import build_hamiltonian, jordan_wigner, load_integrals
 from .pauli import PauliSum
 from .rng import make_rng
-from .simulator import StateVector, _expectation, expectation_and_variance, ground_state
+from .simulator import StateVector, _expectation, expectation_and_variance
 
 __all__ = ["main", "cmd_vqe", "cmd_adiabatic", "cmd_estimate", "cmd_certify"]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .pauli import PauliString, PauliSum, commutes
+from .pauli import PauliSum, commutes
 from .simulator import (
     GroupSampler,
     StateVector,

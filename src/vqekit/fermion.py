@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .pauli import PauliString, PauliSum, PauliTerm
+from .pauli import PauliSum, _mask_product
 from .simulator import StateVector
 
 __all__ = [
@@ -198,26 +198,27 @@ def commutator(a: FermionOperator, b: FermionOperator) -> FermionOperator:
     return normal_order(a * b - b * a)
 
 
-def _jw_factor(n_modes: int, op: int) -> PauliSum:
-    p = _mode(op)
-    prefix = (1 << p) - 1
-    x_part = PauliTerm(0.5 + 0j, PauliString.from_masks(n_modes, 1 << p, prefix))
-    y_coeff = -0.5j if _is_dag(op) else 0.5j
-    y_part = PauliTerm(y_coeff, PauliString.from_masks(n_modes, 1 << p, prefix | (1 << p)))
-    return PauliSum(n_modes, [x_part, y_part])
-
-
 def jordan_wigner(f: FermionOperator) -> PauliSum:
-    """Map to qubits, one qubit per mode.  Hermitian input gives real
-    coefficients after simplification."""
-    n = f.n_modes
-    total = PauliSum.zero(n)
-    for ops, coeff in f.terms.items():
-        acc = PauliSum.identity(n, coeff)
-        for op in ops:
-            acc = acc * _jw_factor(n, op)
-        total = total + acc
-    return total.simplify()
+    """Map to qubits, one qubit per mode; Hermitian input gives real coefficients.
+    One pass, linear in the term count: each ladder product expands on
+    (coeff, x_mask, z_mask) triples, left to right, merged into one sum."""
+
+    def strings():
+        for ops, coeff in f.terms.items():
+            acc = [(complex(coeff), 0, 0)]
+            for op in ops:
+                bit = 1 << _mode(op)
+                y_coeff = -0.5j if _is_dag(op) else 0.5j
+                factor = ((0.5 + 0j, bit, bit - 1), (y_coeff, bit, (bit - 1) | bit))
+                acc = [
+                    (ca * cb * phase, x, z)
+                    for ca, ax, az in acc
+                    for cb, bx, bz in factor
+                    for phase, x, z in (_mask_product(ax, az, bx, bz),)
+                ]
+            yield from acc
+
+    return PauliSum._merged(f.n_modes, strings())
 
 
 def _read_only(obj, name: str, dtype) -> None:

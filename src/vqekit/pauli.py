@@ -141,20 +141,26 @@ class PauliString:
         return f"PauliString({self.letters!r})"
 
 
+def _mask_product(ax: int, az: int, bx: int, bz: int) -> tuple[complex, int, int]:
+    """P(ax,az).P(bx,bz) as (phase, x, z) with phase in {1, i, -1, -i}."""
+    x3 = ax ^ bx
+    z3 = az ^ bz
+    # Power of i from P(x,z) = i^{x.z} X^x Z^z and commuting Z^z1 past X^x2.
+    e = (
+        (ax & az).bit_count()
+        + (bx & bz).bit_count()
+        + 2 * (az & bx).bit_count()
+        - (x3 & z3).bit_count()
+    ) % 4
+    return _PHASES[e], x3, z3
+
+
 def multiply(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
     """Product a.b as (phase, string) with phase in {1, i, -1, -i}."""
     if a.n_qubits != b.n_qubits:
         raise DimensionError(f"qubit mismatch: {a.n_qubits} vs {b.n_qubits}")
-    x3 = a.x_mask ^ b.x_mask
-    z3 = a.z_mask ^ b.z_mask
-    # Power of i from P(x,z) = i^{x.z} X^x Z^z and commuting Z^z1 past X^x2.
-    e = (
-        (a.x_mask & a.z_mask).bit_count()
-        + (b.x_mask & b.z_mask).bit_count()
-        + 2 * (a.z_mask & b.x_mask).bit_count()
-        - (x3 & z3).bit_count()
-    ) % 4
-    return _PHASES[e], PauliString.from_masks(a.n_qubits, x3, z3)
+    phase, x, z = _mask_product(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
+    return phase, PauliString.from_masks(a.n_qubits, x, z)
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:
@@ -288,18 +294,23 @@ class PauliSum:
 
     __rmul__ = __mul__
 
+    @classmethod
+    def _merged(cls, n_qubits: int, triples) -> "PauliSum":
+        """Sum (coeff, x_mask, z_mask) triples onto first occurrences; drop |c| <= ATOL."""
+        acc: dict[tuple[int, int], complex] = {}
+        for c, x, z in triples:
+            if (x, z) in acc:
+                acc[x, z] += c
+            else:
+                acc[x, z] = c
+        kept = [(c, x, z) for (x, z), c in acc.items() if abs(c) > ATOL]
+        terms = [PauliTerm(c, PauliString.from_masks(n_qubits, x, z)) for c, x, z in kept]
+        return cls(n_qubits, terms)
+
     def simplify(self) -> "PauliSum":
         """Merge duplicate strings and drop coefficients with |c| <= ATOL."""
-        order: list[PauliString] = []
-        acc: dict[PauliString, complex] = {}
-        for t in self.terms:
-            if t.string in acc:
-                acc[t.string] += t.coeff
-            else:
-                acc[t.string] = t.coeff
-                order.append(t.string)
-        kept = [PauliTerm(acc[s], s) for s in order if abs(acc[s]) > ATOL]
-        return PauliSum(self.n_qubits, kept)
+        triples = ((t.coeff, t.string.x_mask, t.string.z_mask) for t in self.terms)
+        return PauliSum._merged(self.n_qubits, triples)
 
     def is_hermitian(self) -> bool:
         """True when every merged coefficient is real to 1e-10."""

@@ -150,11 +150,16 @@ def spectrum_along_path(h_i: PauliSum, h_p: PauliSum, a_grid) -> np.ndarray:
     if not (h_i.is_hermitian() and h_p.is_hermitian()):
         raise ValidationError("spectrum requires Hermitian Hamiltonians")
     # LAPACK solves one matrix at a time, so chunking leaves every value as is.
+    # Chunks share two stacks, so a trimmed heap is not re-faulted per chunk.
     chunk = max(1, _CHUNK_BYTES // mi.nbytes)
     out = np.empty((a_grid.size, mi.shape[0]))
+    stack = np.empty((min(chunk, a_grid.size), *mi.shape), dtype=complex)
+    part = np.empty_like(stack)
     for lo in range(0, a_grid.size, chunk):
         a = a_grid[lo : lo + chunk, None, None]
-        out[lo : lo + chunk] = np.linalg.eigvalsh(a * mi + (1.0 - a) * mp)
+        s = np.multiply(a, mi, out=stack[: a.shape[0]])
+        p = np.multiply(1.0 - a, mp, out=part[: a.shape[0]])
+        out[lo : lo + chunk] = np.linalg.eigvalsh(np.add(s, p, out=s))
     return out
 
 

@@ -1,15 +1,24 @@
 """Shared fixtures: the 2-spin benchmark Hamiltonian, the H2 integral
-fixture, and a terminal summary that reports each acceptance check on
-its own line."""
+fixture, the wall-clock budget, and a terminal summary that reports each
+acceptance check on its own line."""
 
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import vqekit as vk
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@contextmanager
+def wall_budget(seconds: float):
+    t0 = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - t0
+    assert elapsed < seconds, f"budget {seconds:g}s exceeded: {elapsed:.2f}s"
 
 
 @pytest.fixture

@@ -8,8 +8,6 @@ of quietly dragging the suite.
 
 import itertools
 import math
-import time
-from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -19,15 +17,8 @@ from scipy.stats import unitary_group
 import vqekit as vk
 from vqekit import FermionOperator, commutator
 
+from conftest import wall_budget
 from test_fermion import T, dense_of, two_body_commutator_reference
-
-
-@contextmanager
-def wall_budget(seconds: float):
-    t0 = time.perf_counter()
-    yield
-    elapsed = time.perf_counter() - t0
-    assert elapsed < seconds, f"budget {seconds:g}s exceeded: {elapsed:.2f}s"
 
 
 def one_qubit_crossing():

@@ -1,7 +1,9 @@
 """Importing the package stays cheap: scipy's slow submodules load only
 in the functions that use them.  The public names are pinned, so removing
-one from `__init__.py` has to edit the list below on purpose."""
+one from `__init__.py` has to edit the list below on purpose.  No module
+imports a name it never uses."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import vqekit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_import_leaves_slow_scipy_submodules_unloaded():
@@ -117,3 +120,44 @@ def test_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert got == PUBLIC_NAMES
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; those in `__all__` are exempt."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    known = used | exported
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in known]
+
+
+def test_unused_imports_checker_flags_only_unread_names():
+    source = (
+        "import os\nimport numpy as np\nfrom json import dumps, loads\n"
+        "from typing import Any\n__all__ = ['Any']\nnp.zeros(loads('1'))\n"
+    )
+    assert unused_imports(source) == ["line 1: os", "line 3: dumps"]
+
+
+def test_no_unused_imports():
+    # `__init__.py` imports names to re-export them.
+    paths = [*sorted((SRC / "vqekit").glob("*.py")), *sorted(TESTS.glob("*.py"))]
+    found = {
+        p.name: bad
+        for p in paths
+        if p.name != "__init__.py" and (bad := unused_imports(p.read_text()))
+    }
+    assert found == {}
