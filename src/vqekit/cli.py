@@ -30,7 +30,12 @@ from .errors import VqekitError
 from .fermion import build_hamiltonian, jordan_wigner, load_integrals
 from .pauli import PauliSum
 from .rng import make_rng
-from .simulator import StateVector, _expectation, expectation_and_variance
+from .simulator import (
+    StateVector,
+    _check_step_bound,
+    _expectation,
+    expectation_and_variance,
+)
 
 __all__ = ["main", "cmd_vqe", "cmd_adiabatic", "cmd_estimate", "cmd_certify"]
 
@@ -392,6 +397,8 @@ def cmd_adiabatic(cfg: dict, out_override=None, seed_override=None, base=Path(".
     steps = cfg.get("steps")
     steps = _integer(steps, "steps", 1) if steps is not None else None
     n_switches = _integer(cfg.get("n_switches", 2), "n_switches", 0)
+    for tau in taus:
+        _check_step_bound(h_i, h_p, tau, steps or _schedule._default_steps(tau))
 
     levels = _schedule.spectrum_along_path(h_i, h_p, a_grid)
     spec_rows = [

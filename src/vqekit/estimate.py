@@ -49,6 +49,8 @@ __all__ = [
 MIN_SHOT_FLOOR = 1000
 # Shots between stopping-rule checks.
 BATCH_SIZE = 100
+# Shots in the largest single draw of a group's sampler: whole batches.
+MAX_BLOCK = 64_000
 PILOT_SHOTS = 500
 # Grid points of a discretized posterior density.
 DENSITY_POINTS = 1025
@@ -379,33 +381,70 @@ class EstimateReport:
         return d
 
 
-class _LeafValues(dict):
-    """The group's weighted sum q = sum_i c_i o_i per leaf code.
+def _leaf_values(sampler, coeffs, leaves) -> list[float]:
+    """The group's weighted sum q = sum_i c_i o_i at each leaf code."""
+    return [float(np.dot(coeffs, sampler.outcomes(leaf))) for leaf in leaves.tolist()]
 
-    q depends only on the leaf, so each is computed once, on first lookup.
-    """
 
-    def __init__(self, sampler, coeffs):
-        super().__init__()
-        self.sampler = sampler
-        self.coeffs = coeffs
+def _blocks(sampler, rng):
+    """(generator state, leaf codes) of blocks of MIN_SHOT_FLOOR shots, then
+    twice the last, up to MAX_BLOCK.  The loops read a block BATCH_SIZE shots
+    per stopping-rule check and `_rewind` to the shots they used."""
+    shots = MIN_SHOT_FLOOR
+    while True:
+        state = rng.bit_generator.state
+        yield state, sampler.draw(rng, shots)
+        shots = min(2 * shots, MAX_BLOCK)
 
-    def __missing__(self, leaf):
-        q = self[leaf] = float(np.dot(self.coeffs, self.sampler.outcomes(leaf)))
-        return q
+
+def _rewind(rng, state, sampler, shots: int) -> None:
+    """Leave rng as if only `shots` shots had been drawn since `state`."""
+    rng.bit_generator.state = state
+    rng.random(shots * len(sampler.strings))
 
 
 def _frequentist_group(sampler, coeffs, target, rng):
     """(shots, sample mean, estimator variance) of the group's sum Q."""
     # The running moments stay plain floats between stopping-rule checks.
-    qs = _LeafValues(sampler, coeffs)
     n, mean, sq_dev = 0, 0.0, 0.0
-    while True:
-        for leaf in sampler.draw(rng, BATCH_SIZE).tolist():
-            n, mean, sq_dev = _welford(n, mean, sq_dev, qs[leaf])
-        var = sq_dev / (n - 1) / n  # TermEstimator.estimator_variance
-        if n >= MIN_SHOT_FLOOR and var < target:
-            return n, mean, var
+    for state, block in _blocks(sampler, rng):
+        leaves, inv = np.unique(block, return_inverse=True)
+        values = np.array(_leaf_values(sampler, coeffs, leaves))[inv].tolist()
+        for start in range(0, len(values), BATCH_SIZE):
+            for x in values[start : start + BATCH_SIZE]:  # `_welford`, inlined
+                n += 1
+                delta = x - mean
+                mean = mean + delta / n
+                sq_dev = sq_dev + delta * (x - mean)
+            var = sq_dev / (n - 1) / n  # TermEstimator.estimator_variance
+            if n >= MIN_SHOT_FLOOR and var < target:
+                _rewind(rng, state, sampler, start + BATCH_SIZE)
+                return n, mean, var
+
+
+class _BatchCodes(dict):
+    """Outcome pattern -> the code a sampler gives it when every draw is one
+    BATCH_SIZE batch.
+
+    Codes count nodes in creation order, and a draw measures its new
+    prefixes level by level, lowest code first: a prefix first reached in a
+    later batch is numbered after those reached earlier.  Summing a batch's
+    leaves in this order keeps the float sums of one-batch draws.
+    """
+
+    def __init__(self):
+        super().__init__({(): 0})
+        self.reached = set()
+
+    def add_batch(self, patterns) -> None:
+        if self.reached.issuperset(patterns):
+            return
+        self.reached.update(patterns)
+        for level in range(len(patterns[0])):
+            new = {p[:level] for p in patterns if p[:level] + (1,) not in self}
+            for prefix in sorted(new, key=self.__getitem__):
+                self[prefix + (1,)] = len(self)
+                self[prefix + (-1,)] = len(self)
 
 
 def _bayesian_group(sampler, coeffs, target, rng):
@@ -418,21 +457,33 @@ def _bayesian_group(sampler, coeffs, target, rng):
     their covariance.  Under the prior, E[q] = 0 and E[q^2] = sum c_i^2.
     """
     prior_sq = 2.0 * float(np.dot(coeffs, coeffs))
-    qs = _LeafValues(sampler, coeffs)
+    codes = _BatchCodes()
     n, s1, s2 = 0, 0.0, 0.0
 
     def moments():
         mean = s1 / (n + 2)
         return mean, ((prior_sq + s2) / (n + 2) - mean * mean) / (n + 3)
 
-    while moments()[1] >= target:
-        leaves, counts = np.unique(sampler.draw(rng, BATCH_SIZE), return_counts=True)
-        for leaf, count in zip(leaves.tolist(), counts.tolist()):
-            q = qs[leaf]
-            s1 += count * q
-            s2 += count * q * q
-        n += BATCH_SIZE
-    return (n, *moments())
+    if moments()[1] < target:
+        return (n, *moments())
+    for state, block in _blocks(sampler, rng):
+        leaves, inv = np.unique(block, return_inverse=True)
+        patterns = [sampler.outcomes(leaf) for leaf in leaves.tolist()]
+        values = _leaf_values(sampler, coeffs, leaves)
+        nb = block.size // BATCH_SIZE
+        cells = np.arange(nb)[:, None] * leaves.size + inv.reshape(nb, BATCH_SIZE)
+        counts = np.bincount(cells.ravel(), minlength=nb * leaves.size).reshape(nb, -1)
+        for b, row in enumerate(counts.tolist()):
+            present = [j for j, count in enumerate(row) if count]
+            codes.add_batch([patterns[j] for j in present])
+            for j in sorted(present, key=lambda j: codes[patterns[j]]):
+                q = values[j]
+                s1 += row[j] * q
+                s2 += row[j] * q * q
+            n += BATCH_SIZE
+            if moments()[1] < target:
+                _rewind(rng, state, sampler, (b + 1) * BATCH_SIZE)
+                return (n, *moments())
 
 
 def _group_density(coeffs, mean: float, var: float) -> PosteriorDensity:
@@ -444,7 +495,9 @@ def _group_density(coeffs, mean: float, var: float) -> PosteriorDensity:
     half = float(np.sum(np.abs(coeffs)))
     m = (mean + half) / (2.0 * half)
     t = m * (1.0 - m) * (2.0 * half) ** 2 / var - 1.0
-    return beta_density(m * t, (1.0 - m) * t, half, -half)
+    # Both parameters are at least 1 in exact arithmetic, and exactly 1 for
+    # one term whose shots all agreed; there rounding can leave 1 - 1e-15.
+    return beta_density(max(1.0, m * t), max(1.0, (1.0 - m) * t), half, -half)
 
 
 def estimate_expectation(
@@ -527,6 +580,15 @@ class PosteriorDensity:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "pdf", pdf)
 
+    @classmethod
+    def _unchecked(cls, grid: np.ndarray, pdf: np.ndarray) -> "PosteriorDensity":
+        """Wrap float arrays without a check: only for grids built uniform,
+        as linspace or start + dx * arange(n)."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "grid", grid)
+        object.__setattr__(out, "pdf", pdf)
+        return out
+
     @property
     def dx(self) -> float:
         return float(self.grid[1] - self.grid[0])
@@ -551,23 +613,46 @@ class PosteriorDensity:
 
 
 def beta_density(alpha: float, beta: float, m1: float, m2: float) -> PosteriorDensity:
-    """Posterior density of m1*p + m2*(1-p), p ~ Beta(alpha, beta)."""
-    if alpha <= 0 or beta <= 0:
-        raise ParameterError("Beta parameters must be positive")
+    """Posterior density of m1*p + m2*(1-p), p ~ Beta(alpha, beta).
+
+    The density is exp of the log-density (alpha-1) log p + (beta-1) log(1-p)
+    taken relative to its mode, normalised by its trapezoid mass on the
+    grid.  Below alpha or beta = 1 it is unbounded at an end of the grid,
+    which a grid cannot hold, so both must be at least 1.
+    """
+    if not (alpha >= 1.0 and beta >= 1.0):
+        raise ParameterError(
+            f"beta_density needs alpha, beta >= 1, got {alpha!r}, {beta!r}"
+        )
     lo, hi = min(m1, m2), max(m1, m2)
     if hi - lo < 1e-300:
         raise ValidationError("degenerate outcome pair has no density")
-    from scipy.stats import beta as _beta_dist  # slow import; kept off `import vqekit`
-
     grid = np.linspace(lo, hi, DENSITY_POINTS)
-    p = (grid - m2) / (m1 - m2)
-    pdf = _beta_dist.pdf(np.clip(p, 0.0, 1.0), alpha, beta) / abs(m1 - m2)
-    mass = np.trapezoid(pdf, grid)
-    return PosteriorDensity(grid=grid, pdf=pdf / mass)
+    p = np.clip((grid - m2) / (m1 - m2), 0.0, 1.0)
+    log_pdf = np.zeros_like(p)
+    if alpha + beta > 2.0:
+        # log(p/p0) and log((1-p)/(1-p0)) about the mode p0 = 1 - q0 go
+        # through log1p, which keeps the peak accurate to rounding at
+        # alpha, beta ~ 1e5.  A term of exponent 0 is skipped: 0 log 0 = 0.
+        p0 = (alpha - 1.0) / (alpha + beta - 2.0)
+        q0 = (beta - 1.0) / (alpha + beta - 2.0)
+        with np.errstate(divide="ignore"):
+            if alpha > 1.0:
+                log_pdf += (alpha - 1.0) * np.log1p((p - p0) / p0)
+            if beta > 1.0:
+                # At p = 1, (p0 - p) / q0 misses -1 by the rounding of p0.
+                ratio = np.where(p < 1.0, (p0 - p) / q0, -1.0)
+                log_pdf += (beta - 1.0) * np.log1p(ratio)
+    pdf = np.exp(log_pdf)
+    return PosteriorDensity._unchecked(grid, pdf / np.trapezoid(pdf, grid))
 
 
 def convolve_posteriors(pdfs) -> PosteriorDensity:
-    """Density of the sum of independent discretized posteriors."""
+    """Density of the sum of independent discretized posteriors.
+
+    Each density is resampled onto the finest grid step, and the sum's
+    density is one inverse FFT of the product of their spectra.
+    """
     pdfs = list(pdfs)
     if not pdfs:
         raise ValidationError("no densities to convolve")
@@ -586,13 +671,13 @@ def convolve_posteriors(pdfs) -> PosteriorDensity:
         if mass <= 0:
             raise ValidationError("density lost all mass in resampling")
         resampled.append((float(grid[0]), pdf / mass))
-    start, acc = resampled[0]
-    for s, pdf in resampled[1:]:
-        acc = np.convolve(acc, pdf) * dx
-        start += s
-    grid = start + dx * np.arange(acc.size)
-    mass = np.trapezoid(acc, grid)
-    return PosteriorDensity(grid=grid, pdf=acc / mass)
+    size = sum(pdf.size for _, pdf in resampled) - (len(resampled) - 1)
+    n_fft = 1 << (size - 1).bit_length()
+    spectrum = np.prod([np.fft.rfft(pdf, n_fft) for _, pdf in resampled], axis=0)
+    # Rounding leaves values of order 1e-16 below zero in the empty tails.
+    acc = np.maximum(np.fft.irfft(spectrum, n_fft)[:size], 0.0)
+    grid = sum(s for s, _ in resampled) + dx * np.arange(size)
+    return PosteriorDensity._unchecked(grid, acc / np.trapezoid(acc, grid))
 
 
 def format_plan(plan: MeasurementPlan, h: PauliSum) -> str:

@@ -264,6 +264,10 @@ class IntegralSet:
         swapped = np.transpose(self.two_body, (1, 0, 3, 2))
         if np.max(np.abs(self.two_body - swapped)) > atol:
             raise ValidationError("two-body integrals violate pq/rs exchange symmetry")
+        # h_pqrs must equal h_srqp, its Hermitian conjugate's coefficient.
+        adjoint = np.transpose(self.two_body, (3, 2, 1, 0))
+        if np.max(np.abs(self.two_body - adjoint)) > atol:
+            raise ValidationError("two-body integrals are not Hermitian: h_pqrs != h_srqp")
 
 
 def load_integrals(path: str) -> IntegralSet:
@@ -331,7 +335,10 @@ def load_integrals(path: str) -> IntegralSet:
                 raise ValidationError(f"{path}:{k}: duplicate two-body entry")
             seen.add(key)
             two[p - 1, q - 1, r - 1, s - 1] = val
-    return IntegralSet(n_modes=m, one_body=one, two_body=two, core=core)
+    try:
+        return IntegralSet(n_modes=m, one_body=one, two_body=two, core=core)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def build_hamiltonian(ints: IntegralSet) -> FermionOperator:

@@ -319,6 +319,8 @@ _TAYLOR_MIN_DIM = 16
 # Longest series step, as the bound dt*||H_k||, before a step is split into
 # substeps: up to here one stays within 1e-15 of expm (7e-16 at 4, 3e-15 at 6).
 _TAYLOR_MAX_NORM = 4.0
+# Most substeps a configured step may take; one costs about 70 us at d = 16.
+_MAX_SUBSTEPS = 1000
 # The series stops once the bound on its tail falls below this.
 _TAYLOR_TOL = 1e-16
 # Up to this dimension H_k is a dense matrix; above it, two compiled applies.
@@ -331,6 +333,20 @@ def _norm_bound(h: PauliSum) -> float:
     """Sum over X-mask groups of max|diag|: each group is a permutation
     times a diagonal, so this bounds the operator norm of h."""
     return sum(float(np.max(np.abs(diag))) for _, diag in h.compiled.groups)
+
+
+def _check_step_bound(h_i: PauliSum, h_p: PauliSum, tau: float, steps: int) -> None:
+    """Refuse steps that the series would split into more than
+    _MAX_SUBSTEPS substeps each, by the bound dt*max(B_i, B_p) that holds
+    for every schedule value g in [0, 1].  The eigh kernel has no substeps."""
+    if 1 << max(h_i.n_qubits, h_p.n_qubits) < _TAYLOR_MIN_DIM:
+        return
+    x = tau / steps * max(_norm_bound(h_i), _norm_bound(h_p))
+    if x > _MAX_SUBSTEPS * _TAYLOR_MAX_NORM:
+        raise ValidationError(
+            f"tau {tau!r} in {steps} steps: dt*||H|| reaches {x:.6g}, over "
+            f"{_MAX_SUBSTEPS} series substeps per step; use more steps"
+        )
 
 
 def _taylor_degrees(x: np.ndarray) -> np.ndarray:

@@ -849,6 +849,45 @@ class TestFailClosed:
         assert "Traceback" not in err and stdout == ""
         assert not out.exists()
 
+    def test_non_hermitian_integrals(self, tmp_path):
+        (tmp_path / "h.ints").write_text("M 3 CORE 0.0\n-1.0 1 1 0 0\n1.0 1 2 2 3\n1.0 2 1 3 2\n")
+        cfg = {**UCC_2Q, "problem": {"integrals": "h.ints"}}
+        path = write_config(tmp_path / "bad.json", cfg)
+        out = tmp_path / "o"
+        code, stdout, err = run_cli("vqe", "--config", path, "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and "h.ints: two-body integrals are not Hermitian" in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps", [1, 9_999])
+    def test_overlong_annealing_steps(self, tmp_path, steps):
+        # At 4 qubits the series splits a step into ceil(dt*||H|| / 4)
+        # substeps of about 70 us each; tau = 1e7 in one step ran for minutes.
+        # Here ||H|| <= 4, so fewer than 10_000 steps over 1000 substeps each.
+        def sum_of(letter, coeffs):
+            terms = [
+                {"coeff": c, "paulis": "".join(letter if j == i else "I" for j in range(4))}
+                for i, c in enumerate(coeffs)
+            ]
+            return {"n_qubits": 4, "terms": terms}
+
+        cfg = {
+            **ADIABATIC_SMALL,
+            "initial_hamiltonian": sum_of("X", [-1.0] * 4),
+            "problem_hamiltonian": sum_of("Z", [0.4, 0.3, 0.2, 0.1]),
+            "taus": [5.0, 1e7],
+            "steps": steps,
+        }
+        path = write_config(tmp_path / "bad.json", cfg)
+        out = tmp_path / "o"
+        code, stdout, err = run_cli("adiabatic", "--config", path, "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and "tau 10000000.0 in" in err
+        assert "series substeps per step" in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
     def test_non_finite_result_writes_nothing(self, tmp_path, monkeypatch):
         # A certificate that comes out non-finite is an error, not an
         # Infinity token in certificates.json.

@@ -131,7 +131,9 @@ def exact_terms(ps: PauliSum) -> list:
 def random_integrals(rng, m: int) -> IntegralSet:
     one = rng.normal(size=(m, m))
     two = rng.normal(size=(m,) * 4)
-    return IntegralSet(m, one + one.T, two + two.transpose(1, 0, 3, 2), float(rng.normal()))
+    two = two + two.transpose(1, 0, 3, 2)
+    two = two + two.transpose(3, 2, 1, 0)  # Hermitian: h_pqrs = h_srqp
+    return IntegralSet(m, one + one.T, two, float(rng.normal()))
 
 
 def random_operator(rng, n_modes=3, n_terms=4, max_len=4) -> FermionOperator:
@@ -454,6 +456,18 @@ class TestIntegralFile:
         # A float copy of complex integrals would drop their imaginary part.
         with pytest.raises(TypeError):
             IntegralSet(n_modes=2, one_body=1j * np.eye(2), two_body=np.zeros((2,) * 4), core=0.0)
+
+    def test_construction_checks_hermiticity(self, tmp_path):
+        # h_pqrs = h_qpsr holds here but h_pqrs = h_srqp does not.  The set
+        # used to load and map, and `vqe` failed at its first energy with
+        # a message that did not name the integrals.
+        path = tmp_path / "nonherm.ints"
+        path.write_text("M 3 CORE 0.0\n-1.0 1 1 0 0\n1.0 1 2 2 3\n1.0 2 1 3 2\n")
+        with pytest.raises(ValidationError, match="nonherm.ints: two-body integrals are not Hermitian"):
+            load_integrals(str(path))
+        for m in (3, 4, 8):
+            two = random_integrals(np.random.default_rng(m), m).two_body
+            np.testing.assert_array_equal(two, two.transpose(3, 2, 1, 0))
 
     def test_checked_integrals_cannot_change(self):
         ints = load_integrals(str(FIXTURES / "h2_sto3g.ints"))
