@@ -32,7 +32,6 @@ from .fermion import (
 )
 from .simulator import (
     GroupSampler,
-    MeasurementRecord,
     StateVector,
     apply_pauli_exponential,
     apply_pauli_string,
@@ -40,7 +39,6 @@ from .simulator import (
     exact_eigensystem,
     expectation_and_variance,
     ground_state,
-    sample_group,
 )
 from .ansatz import (
     AnsatzConfig,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .pauli import PauliSum, commutes
+from .pauli import PauliSum, _first_anticommuting_pair, commutes
 from .simulator import (
     GroupSampler,
     StateVector,
@@ -172,13 +172,16 @@ class MeasurementPlan:
         got = {i for g in self.groups for i in g}
         if got != set(_measurable_indices(h)):
             raise ValidationError("plan does not cover the sum's non-identity terms")
-        for g in self.groups:
-            for a in range(len(g)):
-                for b in range(a + 1, len(g)):
-                    if not commutes(h.terms[g[a]].string, h.terms[g[b]].string):
-                        raise ValidationError(
-                            f"terms {g[a]} and {g[b]} do not commute"
-                        )
+        # One test over all members, listed group by group: the first pair
+        # found is the first in group order, then member order.
+        members = [i for g in self.groups for i in g]
+        pair = _first_anticommuting_pair(
+            [(h.terms[i].string.x_mask, h.terms[i].string.z_mask) for i in members],
+            [k for k, g in enumerate(self.groups) for _ in g],
+        )
+        if pair is not None:
+            a, b = (members[k] for k in pair)
+            raise ValidationError(f"terms {a} and {b} do not commute")
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -382,7 +385,7 @@ class EstimateReport:
 
 
 def _leaf_values(sampler, coeffs, leaves) -> list[float]:
-    """The group's weighted sum q = sum_i c_i o_i at each leaf code."""
+    """The group's weighted sum q = sum_i c_i o_i at each pattern code."""
     return [float(np.dot(coeffs, sampler.outcomes(leaf))) for leaf in leaves.tolist()]
 
 
@@ -407,9 +410,9 @@ def _frequentist_group(sampler, coeffs, target, rng):
     """(shots, sample mean, estimator variance) of the group's sum Q."""
     # The running moments stay plain floats between stopping-rule checks.
     n, mean, sq_dev = 0, 0.0, 0.0
+    table = np.array(_leaf_values(sampler, coeffs, np.arange(1 << sampler.rank)))
     for state, block in _blocks(sampler, rng):
-        leaves, inv = np.unique(block, return_inverse=True)
-        values = np.array(_leaf_values(sampler, coeffs, leaves))[inv].tolist()
+        values = table[block].tolist()
         for start in range(0, len(values), BATCH_SIZE):
             for x in values[start : start + BATCH_SIZE]:  # `_welford`, inlined
                 n += 1
@@ -423,13 +426,13 @@ def _frequentist_group(sampler, coeffs, target, rng):
 
 
 class _BatchCodes(dict):
-    """Outcome pattern -> the code a sampler gives it when every draw is one
-    BATCH_SIZE batch.
+    """Outcome pattern -> its number in a prefix tree grown one BATCH_SIZE
+    batch at a time: the order in which the Bayesian sums add a batch's
+    patterns, which keeps the seeded reports of the former tree sampler.
 
-    Codes count nodes in creation order, and a draw measures its new
-    prefixes level by level, lowest code first: a prefix first reached in a
-    later batch is numbered after those reached earlier.  Summing a batch's
-    leaves in this order keeps the float sums of one-batch draws.
+    Nodes count in creation order, as that sampler's codes did.  A batch
+    opens its new prefixes level by level, lowest number first, so a prefix
+    first reached in a later batch is numbered after those reached earlier.
     """
 
     def __init__(self):

@@ -171,6 +171,22 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return parity == 0
 
 
+def _first_anticommuting_pair(masks, blocks=None) -> tuple[int, int] | None:
+    """The first pair i < j, in (i, j) order, of (x_mask, z_mask) pairs whose
+    strings anticommute, or None: the rule of `commutes` on all pairs at once.
+    With `blocks`, one label per entry, only pairs with equal labels count."""
+    xs, zs = np.array(masks, dtype=np.uint64).reshape(-1, 2).T
+    odd = np.bitwise_count(xs[:, None] & zs)
+    bad = (odd ^ odd.T) & 1 != 0
+    if blocks is not None:
+        bad &= np.equal.outer(blocks, blocks)
+    if not bad.any():
+        return None
+    # bad is symmetric with a zero diagonal, so its first True in row-major
+    # order lies above the diagonal: the lowest i, then the lowest j > i.
+    return divmod(int(bad.argmax()), xs.size)
+
+
 @dataclass(frozen=True)
 class PauliTerm:
     coeff: complex
@@ -203,10 +219,7 @@ class CompiledSum:
             diag += t.coeff * phases
         self.groups = tuple(groups.values())
         self.hermitian = all(abs(c.imag) <= 1e-10 for c in merged.values())
-        xs = np.array([x for x, _ in merged], dtype=np.uint64)
-        zs = np.array([z for _, z in merged], dtype=np.uint64)
-        odd = np.bitwise_count(xs[:, None] & zs[None, :])
-        self.commuting = not np.any((odd + odd.T) & 1)
+        self.commuting = _first_anticommuting_pair(list(merged)) is None
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """H psi for the amplitude vector psi."""

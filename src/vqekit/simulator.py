@@ -8,7 +8,6 @@ explicit numpy Generator (see rng.make_rng).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,18 +18,22 @@ from .errors import (
     NonCommutingGroupError,
     ValidationError,
 )
-from .pauli import MAX_DENSE_QUBITS, PauliString, PauliSum, commutes
+from .pauli import (
+    MAX_DENSE_QUBITS,
+    PauliString,
+    PauliSum,
+    _first_anticommuting_pair,
+    _mask_product,
+)
 
 __all__ = [
     "StateVector",
-    "MeasurementRecord",
     "GroupSampler",
     "apply_pauli_string",
     "apply_pauli_exponential",
     "expectation_and_variance",
     "exact_eigensystem",
     "ground_state",
-    "sample_group",
     "evolve_schedule",
 ]
 
@@ -56,7 +59,7 @@ class StateVector:
     @classmethod
     def _unchecked(cls, amplitudes: np.ndarray, n_qubits: int) -> "StateVector":
         """Wrap amplitudes without a check or a copy: only for vectors made
-        from a valid state by a unitary or a normalized projection."""
+        from a valid state by a unitary."""
         out = cls.__new__(cls)
         out.n_qubits = n_qubits
         out.amplitudes = amplitudes
@@ -93,15 +96,6 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits})"
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Outcomes of one sequential projective measurement of a commuting group."""
-
-    strings: tuple[PauliString, ...]
-    outcomes: tuple[int, ...]
-    post_state: "StateVector"
 
 
 # Per-string (src, phases) tables; strings are hashable and immutable.
@@ -178,36 +172,38 @@ def ground_state(h: PauliSum) -> tuple[float, StateVector]:
     return float(vals[0]), StateVector(vecs[:, 0], copy=True)
 
 
-def _born(amps: np.ndarray, s: PauliString) -> tuple[np.ndarray, float]:
-    """P|psi> and the Born probability of outcome +1 for P on |psi>."""
-    applied = _apply_string(amps, s)
-    p_plus = 0.5 * (1.0 + float(np.real(np.vdot(amps, applied))))
-    return applied, min(1.0, max(0.0, p_plus))
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
-def _collapse(amps: np.ndarray, applied: np.ndarray, o: int, p_plus: float) -> np.ndarray:
-    """Normalized projection (1 + o P)|psi> / 2 after outcome o."""
-    out = 0.5 * (amps + o * applied)
-    p_o = p_plus if o == 1 else 1.0 - p_plus
-    out /= np.sqrt(max(p_o, 1e-300))
-    return out
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """sum_S (-1)^{|b & S|} a[S] at every b, for a of length 2^r: one
+    butterfly (x + y, x - y) per bit, exact sums as the products are by +-1."""
+    h = 1
+    while h < a.size:
+        a = _HADAMARD @ a.reshape(-1, 2, h)
+        h *= 2
+    return a.ravel()
 
 
 class GroupSampler:
-    """Repeated sequential measurement of one commuting group on one state.
+    """Repeated projective measurement of one commuting group on one state.
 
-    Measuring k strings in order passes through at most 2^k outcome
-    prefixes, and each prefix has a fixed conditional Born probability and
-    a fixed post-measurement vector.  Both are computed once, when a draw
-    first reaches the prefix, with the arithmetic of a single sequential
-    measurement.  `draw` therefore returns the outcomes that one
-    `sample_group` call per shot would, and leaves the generator in the
-    same state: shot-major, one uniform variate per string, deterministic
-    outcomes included.
+    GF(2) elimination on the strings' (x, z) masks, in string order, picks
+    r <= n independent generators g_0 .. g_{r-1}.  Every other string is a
+    sign times a product of earlier generators, so its outcome is that sign
+    times theirs, exactly.  The 2^r expectations <psi| prod_{j in S} g_j |psi>
+    are computed in Gray-code order, one string apply each, and one
+    Walsh-Hadamard transform turns them into the probability of each outcome
+    pattern b of the generators (bit j of b set: g_j gave -1).  Summing out
+    the later generators gives the conditional probability of +1 for each
+    generator after each pattern of the ones before it.
 
-    Validation (dimensions, pairwise commutation) runs once, here.  Each
-    measured prefix stores the vectors of its (at most two) children until
-    they are measured in turn; leaves store none.
+    `draw` takes one uniform variate per string, shot-major, dependent
+    strings included, and gives +1 iff u < p_plus: the outcomes and the
+    generator state after it are those of measuring the strings one at a
+    time with state collapse.  A shot's code is its pattern b, whatever the
+    draw sizes.  Validation (dimensions, pairwise commutation) runs once,
+    here.
     """
 
     def __init__(
@@ -219,89 +215,76 @@ class GroupSampler:
         for s in strings:
             if s.n_qubits != state.n_qubits:
                 raise DimensionError("group string and state qubit counts differ")
-        for i in range(len(strings)):
-            for j in range(i + 1, len(strings)):
-                if not commutes(strings[i], strings[j]):
-                    raise NonCommutingGroupError(
-                        f"{strings[i].letters} and {strings[j].letters} do not commute"
-                    )
+        pair = _first_anticommuting_pair([(s.x_mask, s.z_mask) for s in strings])
+        if pair is not None:
+            a, b = (strings[i].letters for i in pair)
+            raise NonCommutingGroupError(f"{a} and {b} do not commute")
         self.n_qubits = state.n_qubits
         self.strings = strings
-        self._root = state.amplitudes.copy()
-        # Node 0 is the empty prefix.  Per node: its outcomes so far, the
-        # Born probability of +1 for the next string (NaN until measured)
-        # and its two children (after outcomes +1 and -1).
-        self._prefix: list[tuple[int, ...]] = [()]
-        self._amps = {0: self._root}
-        self._p_plus = np.full(8, np.nan)
-        self._child = np.full((8, 2), -1, dtype=np.intp)
-
-    def _measure(self, node: int, level: int) -> None:
-        amps = self._amps.pop(node)
-        applied, p_plus = _born(amps, self.strings[level])
-        if len(self._prefix) + 2 > self._p_plus.size:
-            grow = self._p_plus.size
-            self._p_plus = np.concatenate([self._p_plus, np.full(grow, np.nan)])
-            self._child = np.concatenate([self._child, np.full((grow, 2), -1, np.intp)])
-        self._p_plus[node] = p_plus
-        inner = level + 1 < len(self.strings)
-        for bit, o in enumerate((1, -1)):
-            child = len(self._prefix)
-            self._prefix.append(self._prefix[node] + (o,))
-            self._child[node, bit] = child
-            # An outcome of probability exactly zero can never be drawn.
-            if inner and (p_plus if o == 1 else 1.0 - p_plus) > 0.0:
-                self._amps[child] = _collapse(amps, applied, o, p_plus)
+        # Reduced rows by pivot: (x, z, set of generators XORed into them).
+        rows: dict[int, tuple[int, int, int]] = {}
+        gens: list[PauliString] = []
+        levels, combos, signs = [], [], []
+        for level, s in enumerate(strings):
+            x, z, combo = s.x_mask, s.z_mask, 0
+            while x | z and (pivot := ((z << self.n_qubits) | x).bit_length()) in rows:
+                rx, rz, rc = rows[pivot]
+                x, z, combo = x ^ rx, z ^ rz, combo ^ rc
+            if x | z:  # independent of the earlier strings: a new generator
+                rows[pivot] = (x, z, combo ^ (1 << len(gens)))
+                combo = 1 << len(gens)
+                levels.append(level)
+                gens.append(s)
+            # s is the product of the generators in `combo`, up to a sign.
+            phase, px, pz = 1, 0, 0
+            for j, g in enumerate(gens):
+                if combo >> j & 1:
+                    ph, px, pz = _mask_product(px, pz, g.x_mask, g.z_mask)
+                    phase *= ph
+            combos.append(combo)
+            signs.append(int(phase.real))
+        r = self.rank = len(gens)
+        self._levels = tuple(levels)
+        # mean[S] = <psi| prod_{j in S} g_j |psi>, g_j on bit j of S; the
+        # Gray-code order changes S by one generator per step.
+        psi = state.amplitudes
+        mean = np.empty(1 << r)
+        mean[0] = 1.0
+        phi, subset = psi, 0
+        for i in range(1, mean.size):
+            bit = (i & -i).bit_length() - 1
+            subset ^= 1 << bit
+            phi = _apply_string(phi, gens[bit])
+            mean[subset] = np.vdot(psi, phi).real
+        # Rounding can leave an impossible pattern at -1e-17.
+        marginal = np.maximum(_walsh_hadamard(mean) / mean.size, 0.0)
+        # tables[j][b]: P(g_j gives +1 | generators 0..j-1 gave pattern b).
+        # A pattern of probability 0 is never reached; its entry is unused.
+        self._tables = []
+        for j in reversed(range(r)):
+            plus, minus = marginal.reshape(2, 1 << j)
+            marginal = plus + minus
+            p_plus = np.divide(plus, marginal, out=np.ones_like(plus), where=marginal > 0)
+            self._tables.insert(0, p_plus)
+        odd = np.bitwise_count(np.arange(1 << r)[:, None] & np.array(combos)) & 1
+        signs = np.array(signs)
+        self._outcomes = list(map(tuple, np.where(odd, -signs, signs).tolist()))
 
     def draw(self, rng: np.random.Generator, shots: int) -> np.ndarray:
-        """Leaf codes of `shots` independent measurements, in shot order."""
+        """Pattern codes of `shots` independent measurements, in shot order."""
         if shots < 0:
             raise ValidationError("shots must be non-negative")
         k = len(self.strings)
         u = rng.random(shots * k).reshape(shots, k)
-        node = np.zeros(shots, dtype=np.intp)
-        for level in range(k):
-            p_plus = self._p_plus[node]
-            new = np.isnan(p_plus)
-            if new.any():
-                for n in np.unique(node[new]).tolist():
-                    self._measure(n, level)
-                p_plus = self._p_plus[node]
+        code = np.zeros(shots, dtype=np.intp)
+        for j, (level, table) in enumerate(zip(self._levels, self._tables)):
             # The per-shot rule is "+1 if u < p_plus", so bit 1 means -1.
-            node = self._child[node, (u[:, level] >= p_plus).astype(np.intp)]
-        return node
+            code |= (u[:, level] >= table[code]).astype(np.intp) << j
+        return code
 
-    def outcomes(self, leaf: int) -> tuple[int, ...]:
-        """The +1/-1 outcome of each string on the path to a leaf code."""
-        return self._prefix[leaf]
-
-    def post_state(self, leaf: int) -> StateVector:
-        """The state after the measurements that end at a leaf code."""
-        amps = self._root
-        for s, o in zip(self.strings, self._prefix[leaf]):
-            applied, p_plus = _born(amps, s)
-            amps = _collapse(amps, applied, o, p_plus)
-        return StateVector._unchecked(amps, self.n_qubits)
-
-
-def sample_group(
-    state: StateVector,
-    strings: list[PauliString] | tuple[PauliString, ...],
-    rng: np.random.Generator,
-) -> MeasurementRecord:
-    """Measure a commuting group once, in order, with projective updates.
-
-    One uniform variate is consumed per string, including deterministic
-    outcomes, so seeded streams stay aligned across runs.  Repeated shots
-    on one state are cheaper through a `GroupSampler`.
-    """
-    sampler = GroupSampler(state, strings)
-    leaf = int(sampler.draw(rng, 1)[0])
-    return MeasurementRecord(
-        strings=sampler.strings,
-        outcomes=sampler.outcomes(leaf),
-        post_state=sampler.post_state(leaf),
-    )
+    def outcomes(self, code: int) -> tuple[int, ...]:
+        """The +1/-1 outcome of each string in the pattern with this code."""
+        return self._outcomes[code]
 
 
 def _check_tau(tau) -> None:

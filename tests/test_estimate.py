@@ -43,6 +43,8 @@ from vqekit.estimate import (
 )
 from vqekit.errors import ParameterError, ValidationError
 
+from test_simulator import TreeSampler
+
 
 class TestTermEstimator:
     def test_welford_matches_numpy(self):
@@ -116,6 +118,14 @@ class TestMeasurementPlan:
         with pytest.raises(ValidationError):
             # XX and ZI anticommute
             MeasurementPlan(groups=((0, 3), (1, 2, 4))).validate_against(twospin)
+
+    def test_validation_names_the_first_offending_pair(self, twospin):
+        # Members ZZ, XX, ZI, YY, IZ: ZZ commutes with all, and XX with ZI
+        # (terms 0 and 3) is the first pair that fails, in member order.
+        with pytest.raises(ValidationError, match=r"^terms 0 and 3 do not commute$"):
+            MeasurementPlan(groups=((2, 0, 3, 1, 4),)).validate_against(twospin)
+        with pytest.raises(ValidationError, match=r"^terms 1 and 4 do not commute$"):
+            MeasurementPlan(groups=((0,), (2, 3), (1, 4))).validate_against(twospin)
 
 
 class TestCovariances:
@@ -577,8 +587,9 @@ def one_batch_frequentist(sampler, coeffs, target, rng):
 
 
 def one_batch_bayesian(sampler, coeffs, target, rng):
-    """The Bayesian shot loop with one BATCH_SIZE draw per check: each
-    batch's leaves are summed in ascending code order."""
+    """The Bayesian shot loop with one BATCH_SIZE draw per check from a
+    TreeSampler: each batch's leaves are summed in ascending tree code order,
+    the order in which draws first reached them."""
     prior_sq = 2.0 * float(np.dot(coeffs, coeffs))
     n, s1, s2 = 0, 0.0, 0.0
 
@@ -628,9 +639,9 @@ class TestBlockDraws:
         h, state, plan, eps = cases[label]
         mode = label.split()[0]
         interval = 0.95 if mode == "bayesian" else None
-        name, oracle = {
-            "frequentist": ("_frequentist_group", one_batch_frequentist),
-            "bayesian": ("_bayesian_group", one_batch_bayesian),
+        name, oracle, sampler = {
+            "frequentist": ("_frequentist_group", one_batch_frequentist, GroupSampler),
+            "bayesian": ("_bayesian_group", one_batch_bayesian, TreeSampler),
         }[mode]
         stops = set()
         for seed in range(50):
@@ -638,6 +649,7 @@ class TestBlockDraws:
             for patch in (False, True):
                 if patch:
                     monkeypatch.setattr(est, name, oracle)
+                    monkeypatch.setattr(est, "GroupSampler", sampler)
                 rng = make_rng(seed)
                 rep = estimate_expectation(
                     lambda: state, h, plan, eps, mode=mode, rng=rng, credible_level=interval

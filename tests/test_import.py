@@ -48,7 +48,6 @@ PUBLIC_NAMES = [
     "GroupSampler",
     "IntegralSet",
     "MeasurementPlan",
-    "MeasurementRecord",
     "NonCommutingGroupError",
     "Objective",
     "OptResult",
@@ -103,7 +102,6 @@ PUBLIC_NAMES = [
     "pilot_covariances",
     "posterior_moments",
     "prepare_state",
-    "sample_group",
     "spawn_rngs",
     "spectrum_along_path",
     "spin_cluster_generators",

@@ -10,6 +10,7 @@ import pytest
 
 from vqekit import PauliString, PauliSum, PauliTerm, commutes, multiply
 from vqekit.errors import CapacityError, DimensionError, ValidationError
+from vqekit.pauli import _first_anticommuting_pair
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -145,6 +146,23 @@ class TestCommutes:
 
     def test_method_alias(self):
         assert PauliString("XX").commutes(PauliString("ZZ"))
+
+    def test_first_anticommuting_pair_is_the_pair_loops_first(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n, k = int(rng.integers(1, 5)), int(rng.integers(0, 7))
+            strings = [PauliString(random_letters(rng, n)) for _ in range(k)]
+            want = next(
+                (
+                    (i, j)
+                    for i in range(k)
+                    for j in range(i + 1, k)
+                    if not commutes(strings[i], strings[j])
+                ),
+                None,
+            )
+            masks = [(s.x_mask, s.z_mask) for s in strings]
+            assert _first_anticommuting_pair(masks) == want
 
 
 class TestPauliSum:
