@@ -157,7 +157,7 @@ def _sampling_budget(h: PauliSum, epsilon: float, trunc_c: float):
     Truncation takes at most C*eps of bias, so sampling gets the rest of the
     squared-error budget, eps^2 (1 - C^2); at C = 0 the precision is eps.
     """
-    h_meas, k_star, _per_term = _estimate.truncate_terms(h, epsilon, trunc_c)
+    h_meas, k_star = _estimate.truncate_terms(h, epsilon, trunc_c)
     return h_meas, k_star, epsilon * math.sqrt(1.0 - trunc_c * trunc_c)
 
 

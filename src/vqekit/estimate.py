@@ -114,19 +114,14 @@ class TermEstimator:
         return posterior_moments(self.alpha, self.beta, self.m1, self.m2)[1]
 
 
-def _welford(n: int, mean: float, sq_dev: float, x: float) -> tuple[int, float, float]:
-    n += 1
-    delta = x - mean
-    mean = mean + delta / n
-    return n, mean, sq_dev + delta * (x - mean)
-
-
 def update_frequentist(est: TermEstimator, x: float) -> TermEstimator:
     """Welford step: one pass, no catastrophic cancellation."""
     if est.mode != "frequentist":
         raise ParameterError("estimator is not in frequentist mode")
-    n, mean, sq_dev = _welford(est.n, est.mean, est.sq_dev, x)
-    return replace(est, n=n, mean=mean, sq_dev=sq_dev)
+    n = est.n + 1
+    delta = x - est.mean
+    mean = est.mean + delta / n
+    return replace(est, n=n, mean=mean, sq_dev=est.sq_dev + delta * (x - mean))
 
 
 def update_bayesian(est: TermEstimator, n_new: int, r: int) -> TermEstimator:
@@ -239,8 +234,7 @@ def pilot_covariances(prep, h: PauliSum, rng: np.random.Generator) -> np.ndarray
             hi = float(np.real(h.terms[i].coeff))
             hj = float(np.real(h.terms[j].coeff))
             sampler = GroupSampler(state, (si,) if i == j else (si, sj))
-            leaves = sampler.draw(rng, PILOT_SHOTS).tolist()
-            signs = np.array([sampler.outcomes(leaf) for leaf in leaves])
+            signs = sampler.outcome_table[sampler.draw(rng, PILOT_SHOTS)]
             xs = hi * signs[:, 0]
             ys = hj * signs[:, -1] if i != j else xs
             c = float(np.mean(xs * ys) - np.mean(xs) * np.mean(ys))
@@ -301,14 +295,12 @@ def build_groups(h: PauliSum, cov: np.ndarray | None = None) -> MeasurementPlan:
     return MeasurementPlan(groups=tuple(tuple(g) for g in groups))
 
 
-def truncate_terms(
-    h: PauliSum, epsilon: float, C: float
-) -> tuple[PauliSum, int, float]:
+def truncate_terms(h: PauliSum, epsilon: float, C: float) -> tuple[PauliSum, int]:
     """Drop the largest small-|h| prefix whose total magnitude stays under C*eps.
 
-    The removed mass is a bias bound; the surviving variance budget
-    (1 - C^2) eps^2 is split evenly over the M - k* kept terms.  Identity
-    terms are exempt: they cost nothing to measure.
+    Returns the kept sum and the number k* of dropped terms.  The removed
+    mass is a bias bound.  Identity terms are exempt: they cost nothing to
+    measure.
     """
     if not 0.0 <= C < 1.0:
         raise ValidationError("C must lie in [0, 1)")
@@ -325,12 +317,7 @@ def truncate_terms(
         else:
             break
     kept = [t for i, t in enumerate(h.terms) if i not in removed]
-    m_kept = len(idx) - len(removed)
-    if m_kept > 0:
-        per_term = (1.0 - C * C) * epsilon * epsilon / m_kept
-    else:
-        per_term = math.inf
-    return PauliSum(h.n_qubits, kept), len(removed), per_term
+    return PauliSum(h.n_qubits, kept), len(removed)
 
 
 def expected_preparations(
@@ -384,15 +371,11 @@ class EstimateReport:
         return d
 
 
-def _leaf_values(sampler, coeffs, leaves) -> list[float]:
-    """The group's weighted sum q = sum_i c_i o_i at each pattern code."""
-    return [float(np.dot(coeffs, sampler.outcomes(leaf))) for leaf in leaves.tolist()]
-
-
 def _blocks(sampler, rng):
-    """(generator state, leaf codes) of blocks of MIN_SHOT_FLOOR shots, then
-    twice the last, up to MAX_BLOCK.  The loops read a block BATCH_SIZE shots
-    per stopping-rule check and `_rewind` to the shots they used."""
+    """(generator state, pattern codes) of blocks of MIN_SHOT_FLOOR shots,
+    then twice the last, up to MAX_BLOCK.  The group loop reads a block
+    BATCH_SIZE shots per stopping-rule check and `_rewind`s to the shots it
+    used."""
     shots = MIN_SHOT_FLOOR
     while True:
         state = rng.bit_generator.state
@@ -406,87 +389,55 @@ def _rewind(rng, state, sampler, shots: int) -> None:
     rng.random(shots * len(sampler.strings))
 
 
-def _frequentist_group(sampler, coeffs, target, rng):
-    """(shots, sample mean, estimator variance) of the group's sum Q."""
-    # The running moments stay plain floats between stopping-rule checks.
-    n, mean, sq_dev = 0, 0.0, 0.0
-    table = np.array(_leaf_values(sampler, coeffs, np.arange(1 << sampler.rank)))
-    for state, block in _blocks(sampler, rng):
-        values = table[block].tolist()
-        for start in range(0, len(values), BATCH_SIZE):
-            for x in values[start : start + BATCH_SIZE]:  # `_welford`, inlined
-                n += 1
-                delta = x - mean
-                mean = mean + delta / n
-                sq_dev = sq_dev + delta * (x - mean)
-            var = sq_dev / (n - 1) / n  # TermEstimator.estimator_variance
-            if n >= MIN_SHOT_FLOOR and var < target:
-                _rewind(rng, state, sampler, start + BATCH_SIZE)
-                return n, mean, var
+def _measure_group(sampler, coeffs, target, rng, mode: str):
+    """(shots, mean, estimator variance) of the group's sum Q = sum_i c_i o_i.
 
+    Each block's shot values x = q - c go into BATCH_SIZE-shot sums of x
+    and x^2, which are added one batch after another, so a check sees the
+    same totals n, S1, S2 whatever the block sizes.
 
-class _BatchCodes(dict):
-    """Outcome pattern -> its number in a prefix tree grown one BATCH_SIZE
-    batch at a time: the order in which the Bayesian sums add a batch's
-    patterns, which keeps the seeded reports of the former tree sampler.
+    Frequentist: mean c + S1/n and variance (S2 - S1^2/n)/(n-1)/n, where the
+    shift c is the first shot's value: a group whose shots all agree has
+    variance exactly 0, and a nearly deterministic one does not cancel.
 
-    Nodes count in creation order, as that sampler's codes did.  A batch
-    opens its new prefixes level by level, lowest number first, so a prefix
-    first reached in a later batch is numbered after those reached earlier.
+    Bayesian (c = 0): the prior is a symmetric Dirichlet of total weight 2
+    over the 2^k joint sign patterns of the group's k strings; for one
+    string it is the flat Beta(1, 1) of TermEstimator.bayesian.  The
+    posterior needs only n, S1 and S2, and co-measured terms keep their
+    covariance.  Under the prior, E[q] = 0 and E[q^2] = sum c_i^2.
     """
+    table = (sampler.outcome_table * coeffs).sum(axis=1)
+    frequentist = mode == "frequentist"
+    if frequentist:
+        floor = MIN_SHOT_FLOOR
 
-    def __init__(self):
-        super().__init__({(): 0})
-        self.reached = set()
+        def moments(n, s1, s2):
+            return shift + s1 / n, (s2 - s1 * s1 / n) / (n - 1) / n
 
-    def add_batch(self, patterns) -> None:
-        if self.reached.issuperset(patterns):
-            return
-        self.reached.update(patterns)
-        for level in range(len(patterns[0])):
-            new = {p[:level] for p in patterns if p[:level] + (1,) not in self}
-            for prefix in sorted(new, key=self.__getitem__):
-                self[prefix + (1,)] = len(self)
-                self[prefix + (-1,)] = len(self)
+    else:
+        floor, prior_sq = 0, 2.0 * float(np.sum(coeffs * coeffs))
 
+        def moments(n, s1, s2):
+            mean = s1 / (n + 2)
+            return mean, ((prior_sq + s2) / (n + 2) - mean * mean) / (n + 3)
 
-def _bayesian_group(sampler, coeffs, target, rng):
-    """(shots, posterior mean, posterior variance) of the group's sum Q.
-
-    The prior is a symmetric Dirichlet of total weight 2 over the 2^k joint
-    sign patterns of the group's k strings; for one string it is the flat
-    Beta(1, 1) of TermEstimator.bayesian.  Each leaf is one pattern, so the
-    posterior needs only n, sum q and sum q^2, and co-measured terms keep
-    their covariance.  Under the prior, E[q] = 0 and E[q^2] = sum c_i^2.
-    """
-    prior_sq = 2.0 * float(np.dot(coeffs, coeffs))
-    codes = _BatchCodes()
+        if moments(0, 0.0, 0.0)[1] < target:
+            return (0, *moments(0, 0.0, 0.0))
     n, s1, s2 = 0, 0.0, 0.0
-
-    def moments():
-        mean = s1 / (n + 2)
-        return mean, ((prior_sq + s2) / (n + 2) - mean * mean) / (n + 3)
-
-    if moments()[1] < target:
-        return (n, *moments())
     for state, block in _blocks(sampler, rng):
-        leaves, inv = np.unique(block, return_inverse=True)
-        patterns = [sampler.outcomes(leaf) for leaf in leaves.tolist()]
-        values = _leaf_values(sampler, coeffs, leaves)
-        nb = block.size // BATCH_SIZE
-        cells = np.arange(nb)[:, None] * leaves.size + inv.reshape(nb, BATCH_SIZE)
-        counts = np.bincount(cells.ravel(), minlength=nb * leaves.size).reshape(nb, -1)
-        for b, row in enumerate(counts.tolist()):
-            present = [j for j, count in enumerate(row) if count]
-            codes.add_batch([patterns[j] for j in present])
-            for j in sorted(present, key=lambda j: codes[patterns[j]]):
-                q = values[j]
-                s1 += row[j] * q
-                s2 += row[j] * q * q
-            n += BATCH_SIZE
-            if moments()[1] < target:
-                _rewind(rng, state, sampler, (b + 1) * BATCH_SIZE)
-                return (n, *moments())
+        if n == 0:
+            shift = table[block[0]] if frequentist else 0.0
+        x = (table[block] - shift).reshape(-1, BATCH_SIZE)
+        ns = n + BATCH_SIZE * np.arange(1, x.shape[0] + 1)
+        s1s = np.cumsum(np.concatenate([[s1], x.sum(axis=1)]))[1:]
+        s2s = np.cumsum(np.concatenate([[s2], (x * x).sum(axis=1)]))[1:]
+        means, variances = moments(ns, s1s, s2s)
+        stops = np.flatnonzero((ns >= floor) & (variances < target))
+        if stops.size:
+            b = stops[0]
+            _rewind(rng, state, sampler, (b + 1) * BATCH_SIZE)
+            return int(ns[b]), float(means[b]), float(variances[b])
+        n, s1, s2 = int(ns[-1]), s1s[-1], s2s[-1]
 
 
 def _group_density(coeffs, mean: float, var: float) -> PosteriorDensity:
@@ -537,13 +488,12 @@ def estimate_expectation(
         )
     target = epsilon * epsilon / len(plan.groups)
 
-    measure_group = _frequentist_group if mode == "frequentist" else _bayesian_group
     reports = []
     densities = []
     for g in plan.groups:
         sampler = GroupSampler(state, [h.terms[i].string for i in g])
         coeffs = np.array([float(np.real(h.terms[i].coeff)) for i in g])
-        n, value, var = measure_group(sampler, coeffs, target, rng)
+        n, value, var = _measure_group(sampler, coeffs, target, rng, mode)
         reports.append(
             GroupReport(indices=g, value=value, estimator_variance=var, preparations=n)
         )

@@ -266,9 +266,11 @@ class GroupSampler:
             marginal = plus + minus
             p_plus = np.divide(plus, marginal, out=np.ones_like(plus), where=marginal > 0)
             self._tables.insert(0, p_plus)
+        # outcome_table[b, i]: the +1/-1 outcome of string i in pattern b.
         odd = np.bitwise_count(np.arange(1 << r)[:, None] & np.array(combos)) & 1
         signs = np.array(signs)
-        self._outcomes = list(map(tuple, np.where(odd, -signs, signs).tolist()))
+        self.outcome_table = np.where(odd, -signs, signs)
+        self.outcome_table.setflags(write=False)
 
     def draw(self, rng: np.random.Generator, shots: int) -> np.ndarray:
         """Pattern codes of `shots` independent measurements, in shot order."""
@@ -284,7 +286,7 @@ class GroupSampler:
 
     def outcomes(self, code: int) -> tuple[int, ...]:
         """The +1/-1 outcome of each string in the pattern with this code."""
-        return self._outcomes[code]
+        return tuple(self.outcome_table[code].tolist())
 
 
 def _check_tau(tau) -> None:

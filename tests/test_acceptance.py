@@ -202,7 +202,10 @@ def test_c06_bayesian_formulas():
 
 
 def test_c07_truncation_bias_variance():
-    """Bias cap and mean-square budget on random 20-term sums."""
+    """Bias cap and kept-term count on random 20-term sums.
+
+    The squared-error split that the bias leaves to sampling is the CLI's
+    one rule; tests/test_cli.py checks it end to end."""
     with wall_budget(10.0):
         rng = np.random.default_rng(11)
         pool = ["".join(p) for p in itertools.product("IXYZ", repeat=3)][1:]
@@ -215,7 +218,7 @@ def test_c07_truncation_bias_variance():
                 if with_identity:
                     pairs.append((float(rng.normal()), "III"))
                 h = vk.PauliSum.hermitian(pairs)
-                h_meas, k_star, per_term = vk.truncate_terms(h, eps, c)
+                h_meas, k_star = vk.truncate_terms(h, eps, c)
                 kept = {t.string.letters for t in h_meas.terms}
                 removed = [
                     t for t in h.terms
@@ -241,13 +244,6 @@ def test_c07_truncation_bias_variance():
                         - vk.expectation_and_variance(state, h_meas)[0]
                     )
                     assert bias <= c * eps + 1e-9
-                # c^2 eps^2 of bias budget plus the per-term sampling
-                # targets reassembles eps^2 exactly, by construction.
-                assert math.isclose(
-                    c * c * eps * eps + m_kept * per_term,
-                    eps * eps,
-                    rel_tol=1e-12,
-                )
 
 
 def test_c08_bound_validity():

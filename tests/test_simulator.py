@@ -572,6 +572,18 @@ class TestGroupSampler:
         assert first == again and len(first) == 2
         assert {sampler.outcomes(leaf) for leaf in first} == {(1, 1), (-1, -1)}
 
+    def test_outcome_table_rows_are_patterns(self):
+        # ZZ is the product of the generators ZI and IZ: its outcome is theirs.
+        sampler = GroupSampler(
+            StateVector.from_label("00"),
+            [PauliString("ZI"), PauliString("IZ"), PauliString("ZZ")],
+        )
+        want = [(1, 1, 1), (-1, 1, -1), (1, -1, -1), (-1, -1, 1)]
+        assert [tuple(row) for row in sampler.outcome_table.tolist()] == want
+        assert [sampler.outcomes(code) for code in range(4)] == want
+        with pytest.raises(ValueError):
+            sampler.outcome_table[0, 0] = -1
+
     def test_zero_shots_draw_nothing(self):
         rng = make_rng(4)
         before = rng.bit_generator.state
