@@ -39,6 +39,10 @@ from .simulator import (
 
 __all__ = ["main", "cmd_vqe", "cmd_adiabatic", "cmd_estimate", "cmd_certify"]
 
+# Expected preparations above which a sampled run is refused before its first
+# shot: a tiny epsilon such as 1e-9 asks for about 1e18 and would never end.
+MAX_PREPARATIONS = 10**9
+
 
 def _fail(msg: str):
     raise VqekitError(msg)
@@ -149,6 +153,11 @@ def _seed_of(cfg: dict, override: int | None) -> int:
     if "seed" not in cfg:
         _fail("config: a seed is required")
     return _integer(cfg["seed"], "seed", 0)
+
+
+def _check_preparations(n_exp: float, what: str) -> None:
+    if n_exp > MAX_PREPARATIONS:
+        _fail(f"{what} expects {n_exp:g} preparations, over the limit of {MAX_PREPARATIONS:g}")
 
 
 def _sampling_budget(h: PauliSum, epsilon: float, trunc_c: float):
@@ -303,14 +312,15 @@ def cmd_vqe(cfg: dict, out_override=None, seed_override=None, exact=False, base=
             return _expectation(state, h)
 
     else:
+        start = ref.to_state()  # the state at the optimizer's start, theta = 0
         if grouping == "auto":
-            plan = _estimate.build_groups(
-                h_meas, _estimate.exact_covariances(h_meas, ref.to_state())
-            )
+            plan = _estimate.build_groups(h_meas, _estimate.exact_covariances(h_meas, start))
         else:
             plan = _estimate.MeasurementPlan(
                 groups=tuple((i,) for i in _estimate._measurable_indices(h_meas))
             )
+        n_start = _estimate.expected_preparations(plan, start, h_meas, eps_sampling)
+        _check_preparations(n_start, "estimator: the first evaluation")
         rng = make_rng(seed)
 
         def objective(theta):
@@ -515,7 +525,8 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
 
     report_dict = None
     if not exact:
-        name, plan, _n = best
+        name, plan, n_exp = best
+        _check_preparations(n_exp, f"plan {name}")
         rng = make_rng(seed)
         rep = _estimate.estimate_expectation(
             lambda: state,

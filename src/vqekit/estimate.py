@@ -167,16 +167,14 @@ class MeasurementPlan:
         got = {i for g in self.groups for i in g}
         if got != set(_measurable_indices(h)):
             raise ValidationError("plan does not cover the sum's non-identity terms")
-        # One test over all members, listed group by group: the first pair
-        # found is the first in group order, then member order.
-        members = [i for g in self.groups for i in g]
-        pair = _first_anticommuting_pair(
-            [(h.terms[i].string.x_mask, h.terms[i].string.z_mask) for i in members],
-            [k for k, g in enumerate(self.groups) for _ in g],
-        )
-        if pair is not None:
-            a, b = (members[k] for k in pair)
-            raise ValidationError(f"terms {a} and {b} do not commute")
+        # Group by group: the pair named is the first in group, then member order.
+        for g in (g for g in self.groups if len(g) > 1):
+            pair = _first_anticommuting_pair(
+                [(h.terms[i].string.x_mask, h.terms[i].string.z_mask) for i in g]
+            )
+            if pair is not None:
+                a, b = (g[k] for k in pair)
+                raise ValidationError(f"terms {a} and {b} do not commute")
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -246,52 +244,44 @@ def pilot_covariances(prep, h: PauliSum, rng: np.random.Generator) -> np.ndarray
 def build_groups(h: PauliSum, cov: np.ndarray | None = None) -> MeasurementPlan:
     """Greedy commuting-group assignment, newest groups tried first.
 
-    With covariances, a term joins the first compatible group where either
-    its marginal variance contribution is non-positive (co-measuring it is
-    free) or the expected preparation cost G * sum_i Var[Q_i] strictly
-    drops; cost ties open a new group.  Without covariances the first
-    compatible group is taken as-is.
+    A term joins the first group it commutes with where either its marginal
+    variance contribution is non-positive (co-measuring it is free) or the
+    expected preparation cost G * sum_g Var[Q_g] strictly drops; cost ties
+    open a new group.  Without covariances every covariance counts as 0, so
+    the newest group the term commutes with is taken.
     """
     idx = _measurable_indices(h)
     if cov is not None:
         cov = np.asarray(cov, dtype=float)
         if cov.shape != (len(h.terms), len(h.terms)):
             raise ValidationError("covariance matrix shape does not match terms")
+    strings = [t.string for t in h.terms]
     groups: list[list[int]] = []
-    group_vars: list[float] = []
-
-    def joined_variance(g: list[int], i: int) -> float:
-        members = g + [i]
-        v = float(sum(cov[a, b] for a in members for b in members))
-        return max(0.0, v)
-
+    sums: list[float] = []  # unclipped sum of cov over each group's member pairs
     for i in idx:
-        compatible = []
+        s = strings[i]
+        c_ii = 0.0 if cov is None else float(cov[i, i])
         for gi in range(len(groups) - 1, -1, -1):
-            if all(commutes(h.terms[i].string, h.terms[j].string) for j in groups[gi]):
-                compatible.append(gi)
-        if cov is None:
-            if compatible:
-                groups[compatible[0]].append(i)
-            else:
-                groups.append([i])
-            continue
-        total = sum(group_vars)
-        var_i = max(0.0, float(cov[i, i]))
-        new_cost = (len(groups) + 1) * (total + var_i)
-        best_gi = None
-        for gi in compatible:
-            v = joined_variance(groups[gi], i)
-            cost = len(groups) * (total - group_vars[gi] + v)
-            if v - group_vars[gi] <= 1e-12 or cost < new_cost - 1e-12:
-                best_gi = gi
-                break
-        if best_gi is None:
-            groups.append([i])
-            group_vars.append(var_i)
+            g = groups[gi]
+            if not all(commutes(s, strings[j]) for j in g):
+                continue
+            joined = sums[gi] + c_ii
+            if cov is not None:
+                joined += sum(cov[i, j] + cov[j, i] for j in g)
+            # Variances are the sums clipped at 0, and a joined sum that
+            # passes this test is positive, so it is the joined variance.
+            old = max(0.0, sums[gi])
+            if joined - old > 1e-12:
+                total = sum(max(0.0, v) for v in sums)
+                new_cost = (len(groups) + 1) * (total + max(0.0, c_ii))
+                if not len(groups) * (total - old + joined) < new_cost - 1e-12:
+                    continue
+            g.append(i)
+            sums[gi] = joined
+            break
         else:
-            group_vars[best_gi] = joined_variance(groups[best_gi], i)
-            groups[best_gi].append(i)
+            groups.append([i])
+            sums.append(c_ii)
     return MeasurementPlan(groups=tuple(tuple(g) for g in groups))
 
 

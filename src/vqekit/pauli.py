@@ -171,15 +171,12 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return parity == 0
 
 
-def _first_anticommuting_pair(masks, blocks=None) -> tuple[int, int] | None:
+def _first_anticommuting_pair(masks) -> tuple[int, int] | None:
     """The first pair i < j, in (i, j) order, of (x_mask, z_mask) pairs whose
-    strings anticommute, or None: the rule of `commutes` on all pairs at once.
-    With `blocks`, one label per entry, only pairs with equal labels count."""
+    strings anticommute, or None: the rule of `commutes` on all pairs at once."""
     xs, zs = np.array(masks, dtype=np.uint64).reshape(-1, 2).T
     odd = np.bitwise_count(xs[:, None] & zs)
     bad = (odd ^ odd.T) & 1 != 0
-    if blocks is not None:
-        bad &= np.equal.outer(blocks, blocks)
     if not bad.any():
         return None
     # bad is symmetric with a zero diagonal, so its first True in row-major

@@ -790,6 +790,17 @@ class TestFailClosed:
                 {"hamiltonian": TWOSPIN, "state": {"label": "01"}, "plans": [], "seed": 1},
                 "plans: expected at least one plan",
             ),
+            # A tiny epsilon means an effectively unbounded sampled run.
+            (
+                "estimate",
+                {"hamiltonian": TWOSPIN, "state": {"label": "01"}, "epsilon": 1e-9, "seed": 1},
+                "plan auto expects 6e+18 preparations, over the limit of 1e+09",
+            ),
+            (
+                "vqe",
+                {**UCC_2Q, "estimator": {"mode": "frequentist", "epsilon": 1e-9}},
+                "the first evaluation expects 6e+18 preparations, over the limit of 1e+09",
+            ),
         ],
     )
     def test_bad_value(self, tmp_path, command, cfg, message):

@@ -21,6 +21,7 @@ from vqekit import (
     TermEstimator,
     build_groups,
     build_hamiltonian,
+    commutes,
     convolve_posteriors,
     estimate_expectation,
     exact_covariances,
@@ -41,6 +42,7 @@ from vqekit.estimate import (
     BATCH_SIZE,
     MIN_SHOT_FLOOR,
     PosteriorDensity,
+    _measurable_indices,
     _measure_group,
     beta_density,
     format_plan,
@@ -49,6 +51,7 @@ from vqekit.errors import ParameterError, ValidationError
 
 from conftest import wall_budget
 from test_fermion import random_integrals
+from test_simulator import random_state
 
 
 class TestTermEstimator:
@@ -200,6 +203,156 @@ class TestBuildGroups:
     def test_cov_shape_checked(self, twospin):
         with pytest.raises(ValidationError):
             build_groups(twospin, np.zeros((3, 3)))
+
+
+def reference_build_groups(h: PauliSum, cov: np.ndarray | None = None) -> MeasurementPlan:
+    """The planner that one greedy rule with an early stop replaced, kept
+    verbatim as the reference: it tests a term against every earlier group
+    before it picks one, and re-sums all member pairs of each candidate."""
+    idx = _measurable_indices(h)
+    if cov is not None:
+        cov = np.asarray(cov, dtype=float)
+        if cov.shape != (len(h.terms), len(h.terms)):
+            raise ValidationError("covariance matrix shape does not match terms")
+    groups: list[list[int]] = []
+    group_vars: list[float] = []
+
+    def joined_variance(g: list[int], i: int) -> float:
+        members = g + [i]
+        v = float(sum(cov[a, b] for a in members for b in members))
+        return max(0.0, v)
+
+    for i in idx:
+        compatible = []
+        for gi in range(len(groups) - 1, -1, -1):
+            if all(commutes(h.terms[i].string, h.terms[j].string) for j in groups[gi]):
+                compatible.append(gi)
+        if cov is None:
+            if compatible:
+                groups[compatible[0]].append(i)
+            else:
+                groups.append([i])
+            continue
+        total = sum(group_vars)
+        var_i = max(0.0, float(cov[i, i]))
+        new_cost = (len(groups) + 1) * (total + var_i)
+        best_gi = None
+        for gi in compatible:
+            v = joined_variance(groups[gi], i)
+            cost = len(groups) * (total - group_vars[gi] + v)
+            if v - group_vars[gi] <= 1e-12 or cost < new_cost - 1e-12:
+                best_gi = gi
+                break
+        if best_gi is None:
+            groups.append([i])
+            group_vars.append(var_i)
+        else:
+            group_vars[best_gi] = joined_variance(groups[best_gi], i)
+            groups[best_gi].append(i)
+    return MeasurementPlan(groups=tuple(tuple(g) for g in groups))
+
+
+def planning_inputs(rng, h2, rounds: int):
+    """Five (sum, state) pairs per round: H2 at a random UCC state and at a
+    random state, two-spin at a random state, and a random 3-11 term sum on
+    2-4 qubits at a random state and at a basis state."""
+    two = PauliSum.hermitian(
+        [(-1.0, "XX"), (-1.0, "YY"), (1.0, "ZZ"), (1.0, "ZI"), (1.0, "IZ")]
+    )
+    acfg = AnsatzConfig(generator_set=fermionic_ucc_generators(4, [0, 1], [2, 3], 2))
+    ref = ReferenceState.from_occupied(4, [0, 1])
+    for _ in range(rounds):
+        theta = rng.normal(0.0, 0.5, parameter_count(acfg))
+        yield h2, prepare_state(ref, acfg, theta)
+        yield h2, random_state(rng, 4)
+        yield two, random_state(rng, 2)
+        n = int(rng.integers(2, 5))
+        pairs = [
+            (float(rng.normal()), "".join(rng.choice(list("IXYZ"), size=n)))
+            for _ in range(int(rng.integers(3, 12)))
+        ]
+        h = PauliSum.hermitian(pairs)
+        yield h, random_state(rng, n)
+        yield h, StateVector.from_label("".join(rng.choice(list("01"), size=n)))
+
+
+class TestPlanningOracle:
+    """`build_groups` gives the reference planner's plans, and does only the
+    work its rule reads."""
+
+    def test_plans_match_the_reference(self, h2_hamiltonian):
+        rng = np.random.default_rng(1400)
+        cases = 0
+        with wall_budget(10.0):
+            for h, state in planning_inputs(rng, h2_hamiltonian, rounds=70):
+                # An arbitrary matrix too: groups with negative sums and
+                # asymmetric entries are read the way the reference reads them.
+                for cov in (
+                    exact_covariances(h, state),
+                    pilot_covariances(lambda: state, h, rng),
+                    rng.normal(size=(len(h.terms), len(h.terms))),
+                    None,
+                ):
+                    want = reference_build_groups(h, cov).groups
+                    assert build_groups(h, cov).groups == want, (h, cov)
+                    cases += 1
+            m = 8
+            ints = random_integrals(np.random.default_rng(7000 + m), m)
+            h = jordan_wigner(build_hamiltonian(ints)).simplify()
+            acfg = AnsatzConfig(
+                generator_set=fermionic_ucc_generators(m, [0, 1, 2, 3], [4, 5, 6, 7], 2)
+            )
+            theta = np.random.default_rng(m).normal(0.0, 0.1, parameter_count(acfg))
+            state = prepare_state(ReferenceState.from_occupied(m, [0, 1, 2, 3]), acfg, theta)
+            for cov in (exact_covariances(h, state), None):
+                assert build_groups(h, cov).groups == reference_build_groups(h, cov).groups
+                cases += 1
+        assert cases == 70 * 5 * 4 + 2
+
+    @pytest.mark.parametrize(
+        "label, with_cov, want",
+        # The reference planner makes 8, 71 and 71 pair tests.
+        [("two-spin", True, 5), ("H2", True, 44), ("H2", False, 44)],
+    )
+    def test_commutation_tests_stop_at_the_group_taken(
+        self, twospin, state01, h2_hamiltonian, label, with_cov, want, monkeypatch
+    ):
+        import vqekit.estimate as est
+
+        if label == "two-spin":
+            # YY-XX, ZZ-YY, ZI-YY, ZI-XX and IZ-ZI: plan ((0,), (1, 2), (3, 4)).
+            h, state = twospin, state01
+        else:
+            acfg = AnsatzConfig(generator_set=fermionic_ucc_generators(4, [0, 1], [2, 3], 2))
+            theta = np.full(parameter_count(acfg), 0.3)
+            h, state = h2_hamiltonian, prepare_state(ReferenceState.from_occupied(4, [0, 1]), acfg, theta)
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return commutes(a, b)
+
+        monkeypatch.setattr(est, "commutes", counting)
+        build_groups(h, exact_covariances(h, state) if with_cov else None)
+        assert len(calls) == want
+
+    def test_plan_check_runs_group_by_group(self, h2_hamiltonian, monkeypatch):
+        import vqekit.estimate as est
+        from vqekit.pauli import _first_anticommuting_pair
+
+        sizes = []
+
+        def recording(masks):
+            sizes.append(len(masks))
+            return _first_anticommuting_pair(masks)
+
+        monkeypatch.setattr(est, "_first_anticommuting_pair", recording)
+        h = h2_hamiltonian
+        # Parts of the two commuting families, terms 1-6 and 7-14.
+        plan = MeasurementPlan(groups=((1, 2, 3), (4,), (5, 6), (7, 8, 9, 10, 11), (12,), (13, 14)))
+        plan.validate_against(h)
+        # One call per group of two or more members; singletons need none.
+        assert sizes == [3, 2, 5, 2]
 
 
 class TestTruncateTerms:

@@ -1,7 +1,7 @@
 """Importing the package stays cheap: scipy's slow submodules load only
 in the functions that use them.  The public names are pinned, so removing
 one from `__init__.py` has to edit the list below on purpose.  No module
-imports a name it never uses."""
+imports a name it never uses, and no private helper is left unread."""
 
 import ast
 import os
@@ -165,3 +165,46 @@ def test_no_unused_imports():
         if p.name != "__init__.py" and (bad := unused_imports(p.read_text()))
     }
     assert found == {}
+
+
+def private_definitions(sources: dict[str, str]) -> tuple[list[str], list[str]]:
+    """(all, unread) module-level `_name` functions and classes, as
+    "module: name".  A definition is read when a statement other than its
+    own names it, as a bare name or an attribute, in any of the modules."""
+    defined = []
+    used = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(stmt)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+                if not stmt.name.startswith("__"):
+                    own = stmt.name
+                    defined.append((module, own))
+            used |= names - {own}
+    return (
+        [f"{m}: {n}" for m, n in defined],
+        [f"{m}: {n}" for m, n in defined if n not in used],
+    )
+
+
+def test_private_definitions_checker_flags_only_unread_helpers():
+    sources = {
+        "a": "def _loop():\n    return _loop()\n\nclass _Kept:\n    pass\n\ndef __getattr__(n):\n    pass\n",
+        "b": "import a\n\ndef _local():\n    return a._Kept()\n\nx = _local()\n",
+    }
+    assert private_definitions(sources) == (
+        ["a: _loop", "a: _Kept", "b: _local"],
+        ["a: _loop"],
+    )
+
+
+def test_no_unread_private_helpers():
+    sources = {p.name: p.read_text() for p in sorted((SRC / "vqekit").glob("*.py"))}
+    defined, unread = private_definitions(sources)
+    assert len(defined) > 40
+    assert unread == []
