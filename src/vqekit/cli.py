@@ -39,8 +39,9 @@ from .simulator import (
 
 __all__ = ["main", "cmd_vqe", "cmd_adiabatic", "cmd_estimate", "cmd_certify"]
 
-# Expected preparations above which a sampled run is refused before its first
-# shot: a tiny epsilon such as 1e-9 asks for about 1e18 and would never end.
+# Expected preparations above which a sampled estimate, or a sampled `vqe`
+# evaluation, is refused before its first shot: a tiny epsilon such as 1e-9
+# asks for about 1e18 and would never end.
 MAX_PREPARATIONS = 10**9
 
 
@@ -312,20 +313,32 @@ def cmd_vqe(cfg: dict, out_override=None, seed_override=None, exact=False, base=
             return _expectation(state, h)
 
     else:
-        start = ref.to_state()  # the state at the optimizer's start, theta = 0
         if grouping == "auto":
+            # Covariances at the reference state, theta = 0.
+            start = ref.to_state()
             plan = _estimate.build_groups(h_meas, _estimate.exact_covariances(h_meas, start))
         else:
             plan = _estimate.MeasurementPlan(
                 groups=tuple((i,) for i in _estimate._measurable_indices(h_meas))
             )
-        n_start = _estimate.expected_preparations(plan, start, h_meas, eps_sampling)
-        _check_preparations(n_start, "estimator: the first evaluation")
         rng = make_rng(seed)
+        evaluations = 0
+        # The cap is checked at every state before it is sampled: a reference
+        # of zero variance passes it at any epsilon.  A group's variance is at
+        # most (sum |c|)^2 at any state, so under this bound no state exceeds
+        # the cap and the exact count, which compiles every group, is skipped.
+        bound = len(plan.groups) * sum(
+            sum(abs(h_meas.terms[i].coeff) for i in g) ** 2 for g in plan.groups
+        ) / (eps_sampling * eps_sampling)
 
         def objective(theta):
-            nonlocal preparations
+            nonlocal preparations, evaluations
+            evaluations += 1
             state = _ansatz.prepare_state(ref, acfg, theta)
+            if bound > MAX_PREPARATIONS:
+                what = "the first evaluation" if evaluations == 1 else f"evaluation {evaluations}"
+                n_exp = _estimate.expected_preparations(plan, state, h_meas, eps_sampling)
+                _check_preparations(n_exp, f"estimator: {what}")
             rep = _estimate.estimate_expectation(
                 lambda: state, h_meas, plan, eps_sampling, mode=mode, rng=rng
             )

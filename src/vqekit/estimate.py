@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -164,6 +165,11 @@ class MeasurementPlan:
                 seen.add(i)
 
     def validate_against(self, h: PauliSum) -> None:
+        """Check that the plan partitions h's non-identity terms into
+        commuting groups.  A sum's terms are an immutable tuple, so the plan
+        remembers the last sum object it passed against and skips a repeat."""
+        if getattr(self, "_valid_for", None) is h:
+            return
         got = {i for g in self.groups for i in g}
         if got != set(_measurable_indices(h)):
             raise ValidationError("plan does not cover the sum's non-identity terms")
@@ -175,6 +181,8 @@ class MeasurementPlan:
             if pair is not None:
                 a, b = (g[k] for k in pair)
                 raise ValidationError(f"terms {a} and {b} do not commute")
+        # Not a field: plans still compare and hash by their groups alone.
+        object.__setattr__(self, "_valid_for", h)
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -361,22 +369,51 @@ class EstimateReport:
         return d
 
 
-def _blocks(sampler, rng):
-    """(generator state, pattern codes) of blocks of MIN_SHOT_FLOOR shots,
-    then twice the last, up to MAX_BLOCK.  The group loop reads a block
+def _blocks(sampler, rng, shots: int):
+    """(generator state, pattern codes) of blocks of `shots` shots, then
+    twice the last, up to MAX_BLOCK.  The group loop reads a block
     BATCH_SIZE shots per stopping-rule check and `_rewind`s to the shots it
     used."""
-    shots = MIN_SHOT_FLOOR
     while True:
         state = rng.bit_generator.state
         yield state, sampler.draw(rng, shots)
         shots = min(2 * shots, MAX_BLOCK)
 
 
-def _rewind(rng, state, sampler, shots: int) -> None:
-    """Leave rng as if only `shots` shots had been drawn since `state`."""
-    rng.bit_generator.state = state
-    rng.random(shots * len(sampler.strings))
+def _rewind(rng, state, variates: int) -> None:
+    """Leave rng as if only `variates` doubles had been drawn since `state`.
+
+    A double is one 64-bit output.  PCG64 and PCG64DXSM skip them with
+    `advance`.  Philox keeps 4 outputs per counter in a buffer: past the
+    ones left there, it skips whole counters with `advance`, which empties
+    the buffer, and draws the last 1 to 4 doubles, which refill it as
+    drawing them all would.  `advance` drops a buffered 32-bit value, so it
+    is put back from `state`.  Other bit generators draw the doubles again.
+    """
+    bitgen = rng.bit_generator
+    bitgen.state = state
+    if isinstance(bitgen, (np.random.PCG64, np.random.PCG64DXSM)):
+        bitgen.advance(variates)
+    elif isinstance(bitgen, np.random.Philox) and variates > (left := 4 - state["buffer_pos"]):
+        counters = (variates - left - 1) // 4
+        bitgen.advance(counters)
+        rng.random(variates - left - 4 * counters)
+    else:
+        rng.random(variates)
+        return
+    if state["has_uint32"]:
+        bitgen.state = {**bitgen.state, "has_uint32": 1, "uinteger": state["uinteger"]}
+
+
+def _first_block(table, probabilities, target: float, floor: int) -> int:
+    """Shots of a group's first block: its expected stop Var[q]/target,
+    20% over, in whole batches, at least `floor` and one batch, at most
+    MAX_BLOCK.  Var[q] is exact, from the pattern probabilities."""
+    mean = probabilities @ table
+    var = 1.2 * float(probabilities @ (table - mean) ** 2)
+    if var >= target * MAX_BLOCK:  # also a target that underflowed to 0
+        return MAX_BLOCK
+    return max(floor, BATCH_SIZE, BATCH_SIZE * math.ceil(var / (target * BATCH_SIZE)))
 
 
 def _measure_group(sampler, coeffs, target, rng, mode: str):
@@ -414,7 +451,8 @@ def _measure_group(sampler, coeffs, target, rng, mode: str):
         if moments(0, 0.0, 0.0)[1] < target:
             return (0, *moments(0, 0.0, 0.0))
     n, s1, s2 = 0, 0.0, 0.0
-    for state, block in _blocks(sampler, rng):
+    first = _first_block(table, sampler.probabilities, target, floor)
+    for state, block in _blocks(sampler, rng, first):
         if n == 0:
             shift = table[block[0]] if frequentist else 0.0
         x = (table[block] - shift).reshape(-1, BATCH_SIZE)
@@ -424,8 +462,9 @@ def _measure_group(sampler, coeffs, target, rng, mode: str):
         means, variances = moments(ns, s1s, s2s)
         stops = np.flatnonzero((ns >= floor) & (variances < target))
         if stops.size:
-            b = stops[0]
-            _rewind(rng, state, sampler, (b + 1) * BATCH_SIZE)
+            b = int(stops[0])
+            if b + 1 < x.shape[0]:
+                _rewind(rng, state, (b + 1) * BATCH_SIZE * len(sampler.strings))
             return int(ns[b]), float(means[b]), float(variances[b])
         n, s1, s2 = int(ns[-1]), s1s[-1], s2s[-1]
 
@@ -590,37 +629,60 @@ def beta_density(alpha: float, beta: float, m1: float, m2: float) -> PosteriorDe
     return PosteriorDensity._unchecked(grid, pdf / np.trapezoid(pdf, grid))
 
 
+@lru_cache(maxsize=64)
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n (n >= 1): a length the FFT runs fast."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:  # odd runs over 3^b, then 5 * 3^b, 25 * 3^b, ...
+        three = odd
+        while three < best:
+            best = min(best, three << (-(-n // three) - 1).bit_length())
+            three *= 3
+        odd *= 5
+    return best
+
+
+def _trapezoid(y: np.ndarray, dx: float) -> float:
+    """Trapezoid sum of y on a uniform grid of step dx."""
+    return dx * (float(np.sum(y)) - 0.5 * (y[0] + y[-1]))
+
+
 def convolve_posteriors(pdfs) -> PosteriorDensity:
     """Density of the sum of independent discretized posteriors.
 
-    Each density is resampled onto the finest grid step, and the sum's
-    density is one inverse FFT of the product of their spectra.
+    Each density is resampled onto the finest grid step, unless it is on
+    that step already, and the sum's density is one inverse FFT of the
+    product of their spectra.
     """
     pdfs = list(pdfs)
     if not pdfs:
         raise ValidationError("no densities to convolve")
     for d in pdfs:
-        if abs(d.mass() - 1.0) > 1e-6:
+        mass = _trapezoid(d.pdf, d.dx)
+        if abs(mass - 1.0) > 1e-6:
             raise ValidationError(
-                f"density mass {d.mass():.8f} drifted past 1e-6; grid too coarse"
+                f"density mass {mass:.8f} drifted past 1e-6; grid too coarse"
             )
     dx = min(d.dx for d in pdfs)
     resampled = []
     for d in pdfs:
-        n = max(2, int(round((d.grid[-1] - d.grid[0]) / dx)) + 1)
-        grid = d.grid[0] + dx * np.arange(n)
-        pdf = np.interp(grid, d.grid, d.pdf, left=0.0, right=0.0)
-        mass = np.trapezoid(pdf, grid)
+        if d.dx == dx:
+            pdf = d.pdf
+        else:
+            n = max(2, int(round((d.grid[-1] - d.grid[0]) / dx)) + 1)
+            pdf = np.interp(d.grid[0] + dx * np.arange(n), d.grid, d.pdf, left=0.0, right=0.0)
+        mass = _trapezoid(pdf, dx)
         if mass <= 0:
             raise ValidationError("density lost all mass in resampling")
-        resampled.append((float(grid[0]), pdf / mass))
+        resampled.append((float(d.grid[0]), pdf / mass))
     size = sum(pdf.size for _, pdf in resampled) - (len(resampled) - 1)
-    n_fft = 1 << (size - 1).bit_length()
+    n_fft = _fft_length(size)
     spectrum = np.prod([np.fft.rfft(pdf, n_fft) for _, pdf in resampled], axis=0)
     # Rounding leaves values of order 1e-16 below zero in the empty tails.
     acc = np.maximum(np.fft.irfft(spectrum, n_fft)[:size], 0.0)
     grid = sum(s for s, _ in resampled) + dx * np.arange(size)
-    return PosteriorDensity._unchecked(grid, acc / np.trapezoid(acc, grid))
+    return PosteriorDensity._unchecked(grid, acc / _trapezoid(acc, dx))
 
 
 def format_plan(plan: MeasurementPlan, h: PauliSum) -> str:

@@ -174,6 +174,8 @@ def commutes(a: PauliString, b: PauliString) -> bool:
 def _first_anticommuting_pair(masks) -> tuple[int, int] | None:
     """The first pair i < j, in (i, j) order, of (x_mask, z_mask) pairs whose
     strings anticommute, or None: the rule of `commutes` on all pairs at once."""
+    if len(masks) < 2:
+        return None
     xs, zs = np.array(masks, dtype=np.uint64).reshape(-1, 2).T
     odd = np.bitwise_count(xs[:, None] & zs)
     bad = (odd ^ odd.T) & 1 != 0

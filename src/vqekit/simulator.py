@@ -202,8 +202,9 @@ class GroupSampler:
     strings included, and gives +1 iff u < p_plus: the outcomes and the
     generator state after it are those of measuring the strings one at a
     time with state collapse.  A shot's code is its pattern b, whatever the
-    draw sizes.  Validation (dimensions, pairwise commutation) runs once,
-    here.
+    draw sizes.  The read-only array `probabilities` holds the probability
+    of each of the 2^r patterns, indexed by code.  Validation (dimensions,
+    pairwise commutation) runs once, here.
     """
 
     def __init__(
@@ -258,6 +259,8 @@ class GroupSampler:
             mean[subset] = np.vdot(psi, phi).real
         # Rounding can leave an impossible pattern at -1e-17.
         marginal = np.maximum(_walsh_hadamard(mean) / mean.size, 0.0)
+        marginal.setflags(write=False)
+        self.probabilities = marginal
         # tables[j][b]: P(g_j gives +1 | generators 0..j-1 gave pattern b).
         # A pattern of probability 0 is never reached; its entry is unused.
         self._tables = []

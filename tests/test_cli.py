@@ -801,6 +801,27 @@ class TestFailClosed:
                 {**UCC_2Q, "estimator": {"mode": "frequentist", "epsilon": 1e-9}},
                 "the first evaluation expects 6e+18 preparations, over the limit of 1e+09",
             ),
+            # The reference |00> of a diagonal sum has zero variance, so the
+            # first evaluation passes the cap; this run used not to end.
+            (
+                "vqe",
+                {
+                    "problem": {
+                        "hamiltonian": {
+                            "n_qubits": 2,
+                            "terms": [
+                                {"coeff": 1.0, "paulis": "ZI"},
+                                {"coeff": 0.5, "paulis": "IZ"},
+                                {"coeff": 0.3, "paulis": "ZZ"},
+                            ],
+                        }
+                    },
+                    "ansatz": {"kind": "spin_cluster", "reference": {"label": "00"}},
+                    "estimator": {"mode": "frequentist", "epsilon": 1e-9},
+                    "seed": 1,
+                },
+                "estimator: evaluation 2 expects 6.3787e+15 preparations, over the limit of 1e+09",
+            ),
         ],
     )
     def test_bad_value(self, tmp_path, command, cfg, message):

@@ -40,10 +40,13 @@ from vqekit import (
 )
 from vqekit.estimate import (
     BATCH_SIZE,
+    MAX_BLOCK,
     MIN_SHOT_FLOOR,
     PosteriorDensity,
+    _fft_length,
     _measurable_indices,
     _measure_group,
+    _rewind,
     beta_density,
     format_plan,
 )
@@ -134,6 +137,32 @@ class TestMeasurementPlan:
             MeasurementPlan(groups=((2, 0, 3, 1, 4),)).validate_against(twospin)
         with pytest.raises(ValidationError, match=r"^terms 1 and 4 do not commute$"):
             MeasurementPlan(groups=((0,), (2, 3), (1, 4))).validate_against(twospin)
+
+
+    def test_validation_runs_once_per_sum(self, twospin, state01, monkeypatch):
+        import vqekit.estimate as est
+        from vqekit.pauli import _first_anticommuting_pair
+
+        calls = []
+
+        def counting(masks):
+            calls.append(len(masks))
+            return _first_anticommuting_pair(masks)
+
+        monkeypatch.setattr(est, "_first_anticommuting_pair", counting)
+        plan = MeasurementPlan(groups=((0,), (1, 2), (3, 4)))
+        expected_preparations(plan, state01, twospin, 0.1)
+        for seed in range(3):
+            estimate_expectation(lambda: state01, twospin, plan, 0.1, rng=make_rng(seed))
+        # One pair test per group of two or more members, once.
+        assert calls == [2, 2]
+        # An equal sum that is another object is checked again.
+        same = PauliSum(twospin.n_qubits, list(twospin.terms))
+        plan.validate_against(same)
+        assert calls == [2, 2, 2, 2]
+        # The remembered sum is not a field: equality and hash are the groups'.
+        fresh = MeasurementPlan(groups=plan.groups)
+        assert plan == fresh and hash(plan) == hash(fresh)
 
 
 class TestCovariances:
@@ -802,6 +831,125 @@ class TestBlockDraws:
         assert stops - {MIN_SHOT_FLOOR, 3 * MIN_SHOT_FLOOR}
 
 
+    @pytest.mark.parametrize("first", [BATCH_SIZE, MAX_BLOCK])
+    @pytest.mark.parametrize("label", ["frequentist", "bayesian correlated", "bayesian H2"])
+    def test_any_first_block_gives_the_same_reports(self, cases, label, first, monkeypatch):
+        # BATCH_SIZE: every group needs a second block, MAX_BLOCK: every
+        # group stops inside its first one and is rewound.
+        import vqekit.estimate as est
+
+        h, state, plan, eps = cases[label]
+        mode = label.split()[0]
+        interval = 0.95 if mode == "bayesian" else None
+        rewinds = []
+        for seed in range(8):
+            runs = []
+            for group_loop in (_measure_group, one_batch_group):
+                monkeypatch.setattr(est, "_measure_group", group_loop)
+                monkeypatch.setattr(est, "_first_block", lambda *args: first)
+                monkeypatch.setattr(est, "_rewind", lambda *args: rewinds.append(1) or _rewind(*args))
+                rng = make_rng(seed)
+                rep = estimate_expectation(
+                    lambda: state, h, plan, eps, mode=mode, rng=rng, credible_level=interval
+                )
+                runs.append((rep.to_json_dict(), rng.random()))
+                monkeypatch.undo()
+            assert runs[0] == runs[1], seed
+        if first == MAX_BLOCK:
+            assert len(rewinds) == 8 * len(plan.groups)
+
+    @pytest.mark.parametrize("label", ["floor", "frequentist"])
+    def test_first_block_is_the_expected_stop(self, cases, label, monkeypatch):
+        # The two-spin auto plan on |01> stops at the floor in every group,
+        # and draws exactly it; each H2 group stops inside its first block.
+        import vqekit.estimate as est
+
+        if label == "floor":
+            h = PauliSum.hermitian(
+                [(-1.0, "XX"), (-1.0, "YY"), (1.0, "ZZ"), (1.0, "ZI"), (1.0, "IZ")]
+            )
+            state = StateVector.from_label("01")
+            plan, eps = build_groups(h, exact_covariances(h, state)), 0.1
+        else:
+            h, state, plan, eps = cases[label]
+        draw = GroupSampler.draw
+        for seed in range(5):
+            draws, rewinds = [], []
+            monkeypatch.setattr(
+                GroupSampler, "draw", lambda self, rng, shots: draws.append(shots) or draw(self, rng, shots)
+            )
+            monkeypatch.setattr(est, "_rewind", lambda *args: rewinds.append(1) or _rewind(*args))
+            rep = estimate_expectation(lambda: state, h, plan, eps, rng=make_rng(seed))
+            monkeypatch.undo()
+            used = [g.preparations for g in rep.groups]
+            assert len(draws) == len(plan.groups), seed
+            assert all(d >= n for d, n in zip(draws, used)), seed
+            # A stop at the end of its block needs no rewind.
+            assert len(rewinds) == sum(d > n for d, n in zip(draws, used))
+            if label == "floor":
+                assert draws == [MIN_SHOT_FLOOR] * 3
+
+    def test_pattern_probabilities_give_the_exact_moments(self, cases):
+        h, state, plan, _ = cases["frequentist"]
+        for g in plan.groups:
+            sampler = GroupSampler(state, [h.terms[i].string for i in g])
+            p = sampler.probabilities
+            assert not p.flags.writeable
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+            coeffs = np.array([h.terms[i].coeff.real for i in g])
+            q = sampler.outcome_table @ coeffs
+            mean = p @ q
+            want = expectation_and_variance(state, PauliSum(h.n_qubits, [h.terms[i] for i in g]))
+            assert mean == pytest.approx(want[0], abs=1e-12)
+            assert p @ (q - mean) ** 2 == pytest.approx(want[1], abs=1e-12)
+
+
+class TestRewind:
+    """`_rewind` skips variates with `advance` where the bit generator has
+    it, and draws them again where it does not; either way the state and
+    the stream afterwards are those of drawing them again."""
+
+    @staticmethod
+    def plain(state):
+        return {
+            key: TestRewind.plain(v) if isinstance(v, dict) else np.asarray(v).tolist()
+            for key, v in state.items()
+        }
+
+    @pytest.mark.parametrize(
+        "bitgen",
+        [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937, np.random.SFC64],
+    )
+    def test_matches_a_redraw(self, bitgen):
+        def after(rng):
+            return (
+                self.plain(rng.bit_generator.state),
+                rng.random(5).tolist(),
+                rng.integers(2**32, size=3, dtype=np.uint32).tolist(),
+            )
+
+        cases = 0
+        for offset in range(13):  # every Philox buffer position, and past it
+            for buffered in (False, True):
+                rng = np.random.Generator(bitgen(11))
+                rng.random(offset)
+                if buffered:  # a 32-bit value left from a 64-bit draw
+                    rng.integers(2**32, dtype=np.uint32)
+                state = rng.bit_generator.state
+                # MT19937 draws 32-bit words and keeps no such value.
+                assert state.get("has_uint32", buffered) == buffered
+                for k in (1, 2, 3, 5):
+                    for shots in range(23):
+                        rng.random((shots + 4) * k)  # a block drawn past the stop
+                        _rewind(rng, state, shots * k)
+                        got = after(rng)
+                        rng.bit_generator.state = state
+                        rng.random(shots * k)
+                        assert got == after(rng), (offset, buffered, k, shots)
+                        cases += 1
+        assert cases == 13 * 2 * 4 * 23
+
+
 class TestGroupLoop:
     """The (mean, variance) that `_measure_group` reports."""
 
@@ -843,6 +991,23 @@ class TestGroupLoop:
                 if checked == 12:
                     break
         assert checked == 12
+
+    def test_eight_mode_estimate_is_pinned_and_fast(self):
+        # The scale path: 8 modes, an order-2 UCC state, about 1.6e6 shots.
+        m = 8
+        with wall_budget(5.0):
+            ints = random_integrals(np.random.default_rng(7000 + m), m)
+            h = jordan_wigner(build_hamiltonian(ints)).simplify()
+            acfg = AnsatzConfig(
+                generator_set=fermionic_ucc_generators(m, [0, 1, 2, 3], [4, 5, 6, 7], 2)
+            )
+            theta = np.random.default_rng(m).normal(0.0, 0.1, parameter_count(acfg))
+            state = prepare_state(ReferenceState.from_occupied(m, [0, 1, 2, 3]), acfg, theta)
+            rng = make_rng(1)
+            rep = estimate_expectation(lambda: state, h, build_groups(h), 0.2, rng=rng)
+        assert rep.value == 16.467644549532366
+        assert rep.total_preparations == 1587200
+        assert rng.random() == 0.28632024386482047
 
     def test_deterministic_group_has_zero_variance(self, state01):
         # Every shot of 0.1 ZI + 0.2 IZ + 0.3 ZZ on |01> reads 0.1 - 0.2 - 0.3.
@@ -919,6 +1084,39 @@ class TestPosteriorDensity:
         assert np.min(got.pdf) >= 0.0
         # Measured: 7.2e-16 of the maximum.
         np.testing.assert_allclose(got.pdf, want, rtol=0, atol=1e-13 * want.max())
+
+    def test_densities_on_the_finest_step_are_not_resampled(self):
+        # a and b share a range, so the finest step; c is coarser.
+        a = beta_density(3.0, 5.0, 0.7, -0.7)
+        b = beta_density(40.0, 2.0, 0.7, -0.7)
+        c = beta_density(1.0, 9.0, 2.0, -1.0)
+        got = convolve_posteriors([a, b, c])
+        dx = a.dx
+        n = int(round((c.grid[-1] - c.grid[0]) / dx)) + 1
+        c_pdf = np.interp(c.grid[0] + dx * np.arange(n), c.grid, c.pdf, left=0.0, right=0.0)
+        acc = np.ones(1)
+        for pdf in (a.pdf, b.pdf, c_pdf):
+            acc = np.convolve(acc, pdf / np.trapezoid(pdf, dx=dx))
+        want = acc / np.trapezoid(acc, dx=dx)
+        assert got.grid.size == want.size == 3 * 1025 - 2 + (n - 1025)
+        assert got.grid[0] == a.grid[0] + b.grid[0] + c.grid[0]
+        np.testing.assert_allclose(got.pdf, want, rtol=0, atol=1e-13 * want.max())
+
+    def test_fft_length_is_the_next_5_smooth_number(self):
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        want = 10_000
+        while not smooth(want):
+            want += 1
+        for n in range(10_000, 0, -1):
+            if smooth(n):
+                want = n
+            assert _fft_length(n) == want, n
+        assert _fft_length(5121) == 5184
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
