@@ -41,6 +41,8 @@ _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
 
 _PHASES = (1.0 + 0j, 1j, -1.0 + 0j, -1j)  # i**k for k = 0..3
+# _PHASE_SIGNS[k, p] = i**k * (-1)**p, the entries a string's phases can hold.
+_PHASE_SIGNS = np.array(_PHASES)[:, None] * np.array([1.0, -1.0])
 
 
 class PauliString:
@@ -186,6 +188,17 @@ def _first_anticommuting_pair(masks) -> tuple[int, int] | None:
     return divmod(int(bad.argmax()), xs.size)
 
 
+def _x_mask_action(n_qubits: int, x: int, z_masks) -> tuple[np.ndarray, np.ndarray]:
+    """(src, phases) of the strings (x, z) for each z in z_masks, which share
+    src = b ^ x: row k of phases is i^{|x & z_k|} (-1)^{|src & z_k|}.  One
+    (k x d) bitwise_count gives every row's signs, and one select the rows."""
+    src = np.arange(1 << n_qubits, dtype=np.intp) ^ x
+    zs = np.array(z_masks, dtype=np.intp)[:, None]
+    table = _PHASE_SIGNS[np.bitwise_count(x & zs) & 3]  # (k, 1, 2): each row's two values
+    odd = (np.bitwise_count(src & zs) & 1).view(bool)
+    return src, np.where(odd, table[..., 1], table[..., 0])
+
+
 @dataclass(frozen=True)
 class PauliTerm:
     coeff: complex
@@ -198,27 +211,38 @@ class CompiledSum:
     Terms that share an X mask x move amplitude b ^ x to b, each with its own
     phase and sign, so one group is one gather and one complex diagonal:
     diag = sum_k c_k i^{|x & z_k|} (-1)^{|src & z_k|}, summed in term order.
-    The flags are the sum's validation, done once: `hermitian` (merged
-    coefficients real) and `commuting` (every pair of terms commutes).
+    The flags are the sum's validation, each done once: `hermitian` (merged
+    coefficients real) when the form is built, and `commuting` (every pair
+    of terms commutes) on its first read, since only exponentiating a
+    generator reads it.
     """
 
-    __slots__ = ("groups", "hermitian", "commuting")
+    __slots__ = ("groups", "hermitian", "_masks", "_commuting")
 
     def __init__(self, h: "PauliSum"):
         merged: dict[tuple[int, int], complex] = {}
-        groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        by_x: dict[int, list[PauliTerm]] = {}
         for t in h.terms:
-            s = t.string
-            key = (s.x_mask, s.z_mask)
+            key = (t.string.x_mask, t.string.z_mask)
             merged[key] = merged.get(key, 0j) + t.coeff
-            src, phases = s.action()
-            if s.x_mask not in groups:
-                groups[s.x_mask] = (src, np.zeros(src.size, dtype=complex))
-            diag = groups[s.x_mask][1]
-            diag += t.coeff * phases
-        self.groups = tuple(groups.values())
+            by_x.setdefault(key[0], []).append(t)
+        groups = []
+        for x, ts in by_x.items():
+            src, phases = _x_mask_action(h.n_qubits, x, [t.string.z_mask for t in ts])
+            # Each c_k * phases_k is exact; the rows add in term order from zeros.
+            coeffs = np.array([t.coeff for t in ts], dtype=complex)[:, None]
+            groups.append((src, np.add.reduce(coeffs * phases, axis=0, initial=0j)))
+        self.groups = tuple(groups)
         self.hermitian = all(abs(c.imag) <= 1e-10 for c in merged.values())
-        self.commuting = _first_anticommuting_pair(list(merged)) is None
+        self._masks = list(merged)
+        self._commuting = None
+
+    @property
+    def commuting(self) -> bool:
+        """Every pair of terms commutes: tested on first read, then cached."""
+        if self._commuting is None:
+            self._commuting = _first_anticommuting_pair(self._masks) is None
+        return self._commuting
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """H psi for the amplitude vector psi."""

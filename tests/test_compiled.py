@@ -4,8 +4,16 @@ Random sums of up to five qubits are checked against a dense oracle that
 is rebuilt here from the 2x2 matrices with one kron per term, the
 construction the compiled form replaces.  Coefficients are drawn from a
 small dyadic set so duplicate strings cancel exactly and the validation
-flags have exact answers.
+flags have exact answers.  The former term-by-term build, and the former
+`expected_preparations` on top of it, are kept here as the bitwise oracles
+of the vectorised X-mask kernel.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,19 +21,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from test_fermion import random_integrals
+
+import vqekit.pauli as pauli
+from vqekit.errors import DimensionError, ValidationError
 from vqekit import (
     AnsatzConfig,
     GeneratorSet,
+    MeasurementPlan,
     PauliString,
     PauliSum,
     PauliTerm,
     ReferenceState,
     StateVector,
+    build_groups,
+    build_hamiltonian,
     commutes,
+    exact_covariances,
     expectation_and_variance,
+    expected_preparations,
+    fermionic_ucc_generators,
+    jordan_wigner,
+    load_integrals,
     multiply,
+    parameter_count,
     prepare_state,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MATS = {
     "I": np.eye(2, dtype=complex),
@@ -215,3 +238,234 @@ class TestStringAlgebra:
     @given(st.integers(1, 5).flatmap(letters))
     def test_string_matrix(self, s):
         assert np.array_equal(PauliString(s).to_matrix(), dense(s))
+
+
+def reference_compiled(h: PauliSum):
+    """The former term-by-term build of h's compiled form, kept as the
+    oracle of the X-mask kernel: (groups, hermitian, commuting)."""
+    merged: dict[tuple[int, int], complex] = {}
+    groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for t in h.terms:
+        s = t.string
+        key = (s.x_mask, s.z_mask)
+        merged[key] = merged.get(key, 0j) + t.coeff
+        src, phases = s.action()
+        if s.x_mask not in groups:
+            groups[s.x_mask] = (src, np.zeros(src.size, dtype=complex))
+        diag = groups[s.x_mask][1]
+        diag += t.coeff * phases
+    hermitian = all(abs(c.imag) <= 1e-10 for c in merged.values())
+    commuting = pauli._first_anticommuting_pair(list(merged)) is None
+    return tuple(groups.values()), hermitian, commuting
+
+
+def reference_expected_preparations(plan, state, h, epsilon):
+    """The former `expected_preparations`: each group's sum compiled by the
+    reference build, then <Q>, Q psi and ||(Q - <Q>) psi||^2 as before."""
+    psi = state.amplitudes
+    total_var = 0.0
+    for g in plan.groups:
+        groups, hermitian, _ = reference_compiled(PauliSum(h.n_qubits, [h.terms[i] for i in g]))
+        assert hermitian
+        phi = np.zeros_like(psi)
+        for src, diag in groups:
+            phi += diag * psi[src]
+        mean = complex(np.vdot(psi, phi)).real
+        phi -= mean * psi
+        total_var += float(np.real(np.vdot(phi, phi)))
+    return len(plan.groups) * total_var / (epsilon * epsilon)
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: signed zeros count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_compiled(h: PauliSum):
+    groups, hermitian, commuting = reference_compiled(h)
+    got = h.compiled
+    assert len(got.groups) == len(groups)
+    for (src, diag), (want_src, want_diag) in zip(got.groups, groups):
+        assert same_bits(src, want_src)
+        assert same_bits(diag.view(float), want_diag.view(float))
+    assert (got.hermitian, got.commuting) == (hermitian, commuting)
+
+
+def random_sum(rng) -> PauliSum:
+    """1-6 qubits, strings from a small pool so they repeat, and complex
+    coefficients of mixed scales with +-0.0 parts and exact cancellations."""
+    n = int(rng.integers(1, 7))
+    pool = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(int(rng.integers(1, 9)))]
+    parts = (0.0, -0.0, 1.0, -0.5, 0.1, -1e-13, 3.7e8)
+    terms = []
+    for _ in range(int(rng.integers(0, 16))):
+        if rng.random() < 0.5:
+            c = complex(rng.choice(parts), rng.choice(parts))
+        else:
+            c = complex(*(rng.normal(size=2) * 10.0 ** rng.integers(-12, 12, size=2)))
+        terms.append(PauliTerm(c, PauliString(str(rng.choice(pool)))))
+    return PauliSum(n, terms)
+
+
+def seeded_set(m: int):
+    """The seeded m-mode set: its Hamiltonian, unsimplified and simplified,
+    and an order-2 UCC state at theta ~ N(0, 0.1^2)."""
+    occ, virt = list(range(m // 2)), list(range(m // 2, m))
+    raw = jordan_wigner(build_hamiltonian(random_integrals(np.random.default_rng(7000 + m), m)))
+    acfg = AnsatzConfig(generator_set=fermionic_ucc_generators(m, occ, virt, 2))
+    theta = np.random.default_rng(m).normal(0.0, 0.1, parameter_count(acfg))
+    state = prepare_state(ReferenceState.from_occupied(m, occ), acfg, theta)
+    return raw, raw.simplify(), state
+
+
+def shipped_sums() -> list[PauliSum]:
+    """Every sum the shipped configs build: the adiabatic pair, the two-spin
+    Hamiltonian, H2 as `vqe` builds it and simplified, and H2's generators."""
+    adiabatic = json.loads((CONFIGS / "adiabatic_1q.json").read_text())
+    h2 = jordan_wigner(build_hamiltonian(load_integrals(str(CONFIGS / "h2_sto3g.ints"))))
+    gens = fermionic_ucc_generators(4, [0, 1], [2, 3], 2).generators
+    return [
+        PauliSum.from_json_dict(adiabatic["initial_hamiltonian"]),
+        PauliSum.from_json_dict(adiabatic["problem_hamiltonian"]),
+        PauliSum.loads((CONFIGS / "twospin.json").read_text()),
+        h2,
+        h2.simplify(),
+        *(PauliSum(g.n_qubits, g.terms) for g in gens),
+    ]
+
+
+def benchmark_inputs(h2: PauliSum):
+    """(sum, state, plan) for the plans Hamiltonian averaging runs on the
+    two-spin sum at |01> and on H2 at a UCC state."""
+    two = PauliSum.loads((CONFIGS / "twospin.json").read_text())
+    s01 = StateVector.from_label("01")
+    acfg = AnsatzConfig(generator_set=fermionic_ucc_generators(4, [0, 1], [2, 3], 2))
+    theta = 0.3 + np.random.default_rng(5).uniform(-0.02, 0.02, parameter_count(acfg))
+    h2_state = prepare_state(ReferenceState.from_occupied(4, [0, 1]), acfg, theta)
+    out = [
+        (two, s01, build_groups(two, exact_covariances(two, s01))),
+        (two, s01, MeasurementPlan(groups=((0, 1), (2,), (3, 4)))),
+        (h2, h2_state, build_groups(h2, exact_covariances(h2, h2_state))),
+        (h2, h2_state, build_groups(h2)),
+    ]
+    estimate_cfg = json.loads((CONFIGS / "twospin_estimate.json").read_text())
+    for p in estimate_cfg["plans"]:
+        out.append((two, s01, MeasurementPlan(groups=tuple(map(tuple, p["groups"])))))
+    return out
+
+
+class TestCompileOracle:
+    """The X-mask kernel gives the former build's compiled forms and group
+    variances bit for bit."""
+
+    def test_random_sums(self):
+        rng = np.random.default_rng(1600)
+        for _ in range(400):
+            assert_same_compiled(random_sum(rng))
+
+    def test_signed_zeros(self):
+        # c_k * phases_k holds -0.0 parts here (Y has phase i, and c a -0.0
+        # imaginary part); the former sum from zeros leaves +0.0 in their place.
+        for pairs in (
+            [(complex(1.0, -0.0), "Y")],
+            [(complex(-0.0, -0.0), "YZ"), (complex(-0.0, 0.0), "YI")],
+            [(complex(0.5, -0.0), "XY"), (complex(-0.0, -0.0), "XY")],
+        ):
+            assert_same_compiled(PauliSum.from_terms(pairs))
+
+    def test_shipped_and_seeded_sums(self):
+        for h in shipped_sums():
+            assert_same_compiled(h)
+        for m in (6, 7, 8, 9, 10):
+            raw, simple, _ = seeded_set(m)
+            assert_same_compiled(raw)
+            assert_same_compiled(simple)
+
+    def test_group_variances(self, h2_hamiltonian):
+        cases = [(h, state, plan, 0.1) for h, state, plan in benchmark_inputs(h2_hamiltonian)]
+        for m in (6, 7, 8, 9, 10):
+            _, h, state = seeded_set(m)
+            cases.append((h, state, build_groups(h), 0.05))
+        for h, state, plan, eps in cases:
+            got = expected_preparations(plan, state, h, eps)
+            assert same_bits(got, reference_expected_preparations(plan, state, h, eps))
+
+    def test_errors_are_unchanged(self):
+        # Group 0 merges to a real coefficient; group 1 does not.
+        h = PauliSum.from_terms([(1 + 1j, "XX"), (-1j, "XX"), (0.5j, "ZZ")])
+        state = StateVector.from_label("01")
+        real = PauliSum(2, h.terms[:2])
+        expected_preparations(MeasurementPlan(groups=((0, 1),)), state, real, 0.1)
+        with pytest.raises(ValidationError, match="^expectation requires a Hermitian sum$"):
+            expected_preparations(MeasurementPlan(groups=((0, 1), (2,))), state, h, 0.1)
+        other = StateVector.from_label("011")
+        with pytest.raises(DimensionError, match="^operator and state qubit counts differ$"):
+            expected_preparations(MeasurementPlan(groups=((0, 1), (2,))), other, h, 0.1)
+
+
+class TestPairTest:
+    """The pair test behind `commuting` runs on the flag's first read only."""
+
+    @staticmethod
+    def count_pair_tests(monkeypatch) -> list[int]:
+        calls = []
+        real = pauli._first_anticommuting_pair
+
+        def counting(masks):
+            calls.append(len(masks))
+            return real(masks)
+
+        monkeypatch.setattr(pauli, "_first_anticommuting_pair", counting)
+        return calls
+
+    def test_expectation_runs_none(self, monkeypatch):
+        _, h, state = seeded_set(10)
+        calls = self.count_pair_tests(monkeypatch)
+        expectation_and_variance(state, h)
+        assert calls == []
+
+    def test_once_per_multi_mask_generator(self, monkeypatch):
+        gens = GeneratorSet(
+            n_qubits=2,
+            generators=(
+                PauliSum.from_terms([(0.5j, "XI"), (0.3j, "ZZ")]),  # anticommute
+                PauliSum.from_terms([(0.2j, "IX"), (0.7j, "YZ")]),  # anticommute
+                PauliSum.from_terms([(0.4j, "XX"), (0.6j, "ZZ")]),  # commute
+                PauliSum.from_terms([(0.8j, "XY"), (0.1j, "YX")]),  # one X mask
+            ),
+            labels=(("a",), ("b",), ("c",), ("d",)),
+        )
+        cfg = AnsatzConfig(generator_set=gens)
+        ref = generic_reference(2, 3)
+        rng = np.random.default_rng(16)
+        calls = self.count_pair_tests(monkeypatch)
+        for _ in range(50):
+            prepare_state(ref, cfg, rng.normal(size=4))
+        # One test per generator of two or more X masks; one mask needs none.
+        assert calls == [2, 2, 2]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_compiling_ten_modes_keeps_peak_memory_small(self):
+        # The former build ran the pair test over all 2546 terms at once:
+        # about +60 MB of peak RSS.  The groups themselves are about 6 MB.
+        # The peak is the child's VmHWM, as in test_simulator.py.
+        code = (
+            "import sys\n"
+            "import numpy as np, vqekit as vk\n"
+            "from test_fermion import random_integrals\n"
+            "ints = random_integrals(np.random.default_rng(7010), 10)\n"
+            "h = vk.jordan_wigner(vk.build_hamiltonian(ints)).simplify()\n"
+            "if sys.argv[1] == 'compile':\n"
+            "    h.compiled\n"
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+        )
+        here = Path(__file__).resolve().parent
+        paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        peak_kb = [
+            int(subprocess.run([sys.executable, "-c", code, step], capture_output=True,
+                               text=True, env=env, check=True, timeout=300).stdout)
+            for step in ("build", "compile")
+        ]
+        assert peak_kb[1] - peak_kb[0] < 20 * 1024, peak_kb

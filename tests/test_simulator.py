@@ -555,6 +555,26 @@ class TestGroupSampler:
             else:
                 GroupSampler(state, group)
 
+    def test_pair_test_runs_only_on_a_failing_group(self, h2_hamiltonian, monkeypatch):
+        calls = []
+        real = simulator._first_anticommuting_pair
+
+        def counting(masks):
+            calls.append(len(masks))
+            return real(masks)
+
+        monkeypatch.setattr(simulator, "_first_anticommuting_pair", counting)
+        # The 14 non-identity H2 terms in two commuting families: the
+        # generators' parity tests alone pass them.
+        strings = [t.string for t in h2_hamiltonian.terms[1:]]
+        state = StateVector.basis(4, 3)
+        GroupSampler(state, strings[:6])
+        GroupSampler(state, strings[6:])
+        assert calls == []
+        with pytest.raises(NonCommutingGroupError):
+            GroupSampler(state, strings)
+        assert calls == [14]
+
     def test_deterministic_strings_consume_variates(self):
         # Z twice on |0>: both outcomes are +1 with probability exactly 1.
         r1, r2 = make_rng(3), make_rng(3)
