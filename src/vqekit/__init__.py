@@ -63,7 +63,6 @@ from .schedule import (
 from .estimate import (
     EstimateReport,
     MeasurementPlan,
-    TermEstimator,
     build_groups,
     convolve_posteriors,
     estimate_expectation,
@@ -72,8 +71,6 @@ from .estimate import (
     pilot_covariances,
     posterior_moments,
     truncate_terms,
-    update_bayesian,
-    update_frequentist,
 )
 from .bounds import (
     BoundInputs,

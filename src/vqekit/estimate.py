@@ -12,7 +12,7 @@ convolve group posteriors into a credible interval for the total.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,13 +27,10 @@ from .simulator import (
 )
 
 __all__ = [
-    "TermEstimator",
     "MeasurementPlan",
     "GroupReport",
     "EstimateReport",
     "PosteriorDensity",
-    "update_frequentist",
-    "update_bayesian",
     "posterior_moments",
     "build_groups",
     "exact_covariances",
@@ -55,84 +52,6 @@ MAX_BLOCK = 64_000
 PILOT_SHOTS = 500
 # Grid points of a discretized posterior density.
 DENSITY_POINTS = 1025
-
-
-@dataclass(frozen=True)
-class TermEstimator:
-    """Running estimate of one weighted Pauli term's expectation.
-
-    m1/m2 are the two possible outcomes of a weighted Pauli term (+h, -h).
-    Frequentist state is (n, mean, sum of squared deviations); Bayesian
-    state is the Beta posterior (alpha, beta) over the m1-probability.
-    """
-
-    mode: str
-    m1: float = 1.0
-    m2: float = -1.0
-    n: int = 0
-    mean: float = 0.0
-    sq_dev: float = 0.0
-    alpha: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.mode not in ("frequentist", "bayesian"):
-            raise ParameterError(f"unknown estimator mode {self.mode!r}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ParameterError("Beta parameters must be positive")
-        if self.n < 0:
-            raise ParameterError("negative sample count")
-
-    @classmethod
-    def frequentist(cls, m1: float = 1.0, m2: float = -1.0) -> "TermEstimator":
-        return cls(mode="frequentist", m1=m1, m2=m2)
-
-    @classmethod
-    def bayesian(cls, m1: float, m2: float) -> "TermEstimator":
-        return cls(mode="bayesian", m1=m1, m2=m2)
-
-    @property
-    def value(self) -> float:
-        if self.mode == "frequentist":
-            return self.mean
-        return posterior_moments(self.alpha, self.beta, self.m1, self.m2)[0]
-
-    @property
-    def sample_variance(self) -> float:
-        """Unbiased single-shot variance; +inf until two samples exist."""
-        if self.mode != "frequentist":
-            raise ParameterError("sample variance is a frequentist quantity")
-        if self.n < 2:
-            return math.inf
-        return self.sq_dev / (self.n - 1)
-
-    @property
-    def estimator_variance(self) -> float:
-        if self.mode == "frequentist":
-            if self.n < 2:
-                return math.inf
-            return self.sample_variance / self.n
-        return posterior_moments(self.alpha, self.beta, self.m1, self.m2)[1]
-
-
-def update_frequentist(est: TermEstimator, x: float) -> TermEstimator:
-    """Welford step: one pass, no catastrophic cancellation."""
-    if est.mode != "frequentist":
-        raise ParameterError("estimator is not in frequentist mode")
-    n = est.n + 1
-    delta = x - est.mean
-    mean = est.mean + delta / n
-    return replace(est, n=n, mean=mean, sq_dev=est.sq_dev + delta * (x - mean))
-
-
-def update_bayesian(est: TermEstimator, n_new: int, r: int) -> TermEstimator:
-    if est.mode != "bayesian":
-        raise ParameterError("estimator is not in bayesian mode")
-    if r < 0 or n_new < 0 or r > n_new:
-        raise ParameterError("need 0 <= r <= n_new")
-    return replace(
-        est, n=est.n + n_new, alpha=est.alpha + r, beta=est.beta + (n_new - r)
-    )
 
 
 def posterior_moments(
@@ -429,8 +348,9 @@ def _measure_group(sampler, coeffs, target, rng, mode: str):
 
     Bayesian (c = 0): the prior is a symmetric Dirichlet of total weight 2
     over the 2^k joint sign patterns of the group's k strings; for one
-    string it is the flat Beta(1, 1) of TermEstimator.bayesian.  The
-    posterior needs only n, S1 and S2, and co-measured terms keep their
+    string it is the flat Beta(1, 1), and the posterior moments are those of
+    `posterior_moments(1 + r, 1 + n - r, c, -c)` after r of n shots read +1.
+    The posterior needs only n, S1 and S2, and co-measured terms keep their
     covariance.  Under the prior, E[q] = 0 and E[q^2] = sum c_i^2.
     """
     table = (sampler.outcome_table * coeffs).sum(axis=1)
@@ -496,47 +416,47 @@ def estimate_expectation(
 
     prep is called once, after validation, and must return the state to
     measure; every preparation of every group samples that state.  The
-    identity component of h is added analytically.  In Bayesian mode a
-    credible interval for the total is attached when credible_level is set.
+    identity component of h is added analytically.  credible_level, which
+    only Bayesian mode takes, attaches a credible interval for the total;
+    with no group to sample it is the point (identity, identity).
     """
     _check_epsilon(epsilon)
     if mode not in ("frequentist", "bayesian"):
         raise ParameterError(f"unknown estimation mode {mode!r}")
+    if credible_level is not None:
+        if mode != "bayesian":
+            raise ParameterError("a credible level needs mode 'bayesian'")
+        # NaN fails both comparisons.
+        if not 0.0 < credible_level < 1.0:
+            raise ParameterError(f"credible level must lie in (0, 1), got {credible_level!r}")
     if rng is None:
         raise ValidationError("an explicit rng is required for reproducibility")
     plan.validate_against(h)
     state = prep()
     identity = float(np.real(h.identity_part()))
-    if not plan.groups:
-        return EstimateReport(
-            value=identity,
-            variance_of_estimator=0.0,
-            total_preparations=0,
-            groups=(),
-            mode=mode,
-        )
-    target = epsilon * epsilon / len(plan.groups)
 
     reports = []
     densities = []
     for g in plan.groups:
         sampler = GroupSampler(state, [h.terms[i].string for i in g])
         coeffs = np.array([float(np.real(h.terms[i].coeff)) for i in g])
+        target = epsilon * epsilon / len(plan.groups)
         n, value, var = _measure_group(sampler, coeffs, target, rng, mode)
         reports.append(
             GroupReport(indices=g, value=value, estimator_variance=var, preparations=n)
         )
-        if mode == "bayesian" and credible_level is not None and np.any(coeffs):
+        if credible_level is not None and np.any(coeffs):
             densities.append(_group_density(coeffs, value, var))
 
     interval = None
-    if mode == "bayesian" and credible_level is not None and densities:
-        posterior = convolve_posteriors(densities)
-        lo, hi = posterior.credible_interval(credible_level)
+    if credible_level is not None:
+        lo = hi = 0.0  # no group, or all coefficients 0: the total is the identity
+        if densities:
+            lo, hi = convolve_posteriors(densities).credible_interval(credible_level)
         interval = (lo + identity, hi + identity)
     return EstimateReport(
         value=identity + sum(r.value for r in reports),
-        variance_of_estimator=sum(r.estimator_variance for r in reports),
+        variance_of_estimator=sum((r.estimator_variance for r in reports), 0.0),
         total_preparations=sum(r.preparations for r in reports),
         groups=tuple(reports),
         mode=mode,

@@ -55,7 +55,7 @@ _ACCEPTANCE_LABELS = {
     "test_c03_path_advantage": "criterion 3: optimized schedule advantage at constrained tau",
     "test_c04_vqe_end_to_end": "criterion 4: H2 VQE converges to the exact ground eigenvalue",
     "test_c05_estimator_statistics": "criterion 5: interval coverage and mode agreement over 500 runs",
-    "test_c06_bayesian_formulas": "criterion 6: posterior update/moment formulas, rational oracle",
+    "test_c06_bayesian_formulas": "criterion 6: Beta moments and the group loop's posterior, rational oracle",
     "test_c07_truncation_bias_variance": "criterion 7: truncation bias and mean-square-error budget",
     "test_c08_bound_validity": "criterion 8: Weinstein/overlap bounds, randomized and arithmetic",
     "test_c09_commutator_identities": "criterion 9: ladder-operator commutator identities at M=4",

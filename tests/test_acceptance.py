@@ -16,6 +16,7 @@ from scipy.stats import unitary_group
 
 import vqekit as vk
 from vqekit import FermionOperator, commutator
+from vqekit.estimate import _measure_group
 
 from conftest import wall_budget
 from test_fermion import T, dense_of, two_body_commutator_reference
@@ -161,22 +162,25 @@ def test_c05_estimator_statistics(twospin, state01):
         assert abs(freq_vals.mean() - bayes_vals.mean()) <= 2.0 * eps
 
 
-def test_c06_bayesian_formulas():
-    """Posterior counts and moments against exact rational arithmetic."""
+def group_loop_draws(sampler, coeffs, target, seed):
+    """The Bayesian group loop's (n, mean, variance), with the counts of
+    each joint outcome pattern among its n shots, recovered by drawing the
+    same n shots again from the same seed."""
+    n, mean, var = _measure_group(sampler, coeffs, target, vk.make_rng(seed), "bayesian")
+    codes = sampler.draw(vk.make_rng(seed), n)
+    return n, mean, var, np.bincount(codes, minlength=len(sampler.outcome_table))
+
+
+def test_c06_bayesian_formulas(h2_hamiltonian):
+    """Posterior moments against exact rational arithmetic: the closed-form
+    Beta moments, and the moments that the group loop reports for one
+    string and for a group of correlated strings."""
     with wall_budget(1.0):
         m_pairs = [(1.0, -1.0), (0.75, -0.75), (2.5, 0.5)]
         for a0, b0 in itertools.product((1, 2, 5), repeat=2):
             for n in (1, 10, 137):
                 for r in (0, n // 2, n):
                     for m1, m2 in m_pairs:
-                        est = vk.TermEstimator(
-                            mode="bayesian", m1=m1, m2=m2,
-                            alpha=float(a0), beta=float(b0),
-                        )
-                        upd = vk.update_bayesian(est, n, r)
-                        # Conjugate counting is exact in floats.
-                        assert upd.alpha == a0 + r
-                        assert upd.beta == b0 + n - r
                         a, b = Fraction(a0 + r), Fraction(b0 + n - r)
                         p = a / (a + b)
                         want_mean = p * Fraction(m1) + (1 - p) * Fraction(m2)
@@ -184,21 +188,56 @@ def test_c06_bayesian_formulas():
                             (Fraction(m1) - Fraction(m2)) ** 2
                             * a * b / ((a + b) ** 2 * (a + b + 1))
                         )
-                        mean, var = vk.posterior_moments(
-                            upd.alpha, upd.beta, m1, m2
-                        )
+                        mean, var = vk.posterior_moments(a0 + r, b0 + n - r, m1, m2)
                         # The oracle is exact; tolerance only absorbs the
                         # float evaluation order on our side.
                         assert math.isclose(
                             mean, float(want_mean), rel_tol=1e-13, abs_tol=1e-15
                         )
                         assert math.isclose(var, float(want_var), rel_tol=1e-13)
-                        assert upd.value == mean
-                        assert upd.estimator_variance == var
-        # Batch updates compose additively in the counts.
-        e = vk.TermEstimator(mode="bayesian", m1=1.0, m2=-1.0)
-        chained = vk.update_bayesian(vk.update_bayesian(e, 10, 4), 7, 7)
-        assert (chained.alpha, chained.beta) == (12.0, 7.0)
+
+        # One string on a state that is not its eigenstate (P(+1) = 0.64):
+        # the flat prior's posterior is Beta(1 + r, 1 + n - r) after r of n
+        # shots read +1.
+        sampler = vk.GroupSampler(vk.StateVector(np.array([0.8, 0.6])), [vk.PauliString("Z")])
+        for c, seed in ((0.7, 1), (-1.3, 2), (0.05, 3)):
+            n, mean, var, counts = group_loop_draws(sampler, np.array([c]), 1e-3 * c * c, seed)
+            r = int(counts[sampler.outcome_table[:, 0] == 1].sum())
+            assert 0 < r < n
+            a, b, m = Fraction(1 + r), Fraction(1 + n - r), Fraction(c)
+            p = a / (a + b)
+            want_mean = p * m - (1 - p) * m
+            want_var = 4 * m * m * a * b / ((a + b) ** 2 * (a + b + 1))
+            assert math.isclose(mean, float(want_mean), rel_tol=1e-13), c
+            assert math.isclose(var, float(want_var), rel_tol=1e-13), c
+
+        # Correlated strings, H2's auto-plan groups of 6 and 8 at theta = 0.3:
+        # the symmetric Dirichlet prior of weight 2 over the joint patterns
+        # gives mean S1/(n + 2) and variance
+        # ((2 sum c^2 + S2)/(n + 2) - mean^2)/(n + 3), with S1 and S2 the
+        # sums of the shot values q and q^2.
+        h = h2_hamiltonian
+        ref, acfg = h2_ucc_setup()
+        state = vk.prepare_state(ref, acfg, np.full(vk.parameter_count(acfg), 0.3))
+        plan = vk.build_groups(h, vk.exact_covariances(h, state))
+        assert sorted(len(g) for g in plan.groups) == [6, 8]
+        for seed, g in enumerate(plan.groups):
+            sampler = vk.GroupSampler(state, [h.terms[i].string for i in g])
+            coeffs = np.array([h.terms[i].coeff.real for i in g])
+            n, mean, var, counts = group_loop_draws(sampler, coeffs, 1e-4, seed)
+            assert n > 100
+            # The loop reads each shot's q from this per-pattern table.
+            table = [Fraction(q) for q in (sampler.outcome_table * coeffs).sum(axis=1)]
+            s1 = sum(int(k) * q for k, q in zip(counts, table))
+            s2 = sum(int(k) * q * q for k, q in zip(counts, table))
+            prior_sq = 2 * sum(Fraction(c) ** 2 for c in coeffs)
+            want_mean = s1 / (n + 2)
+            want_var = ((prior_sq + s2) / (n + 2) - want_mean**2) / (n + 3)
+            assert math.isclose(mean, float(want_mean), rel_tol=1e-13), g
+            assert math.isclose(var, float(want_var), rel_tol=1e-13), g
+        # Batch updates compose additively: TestBlockDraws in
+        # tests/test_estimate.py checks that the loop's reports do not
+        # depend on how its shots are split into blocks.
 
 
 def test_c07_truncation_bias_variance():

@@ -18,7 +18,6 @@ from vqekit import (
     PauliSum,
     ReferenceState,
     StateVector,
-    TermEstimator,
     build_groups,
     build_hamiltonian,
     commutes,
@@ -35,8 +34,6 @@ from vqekit import (
     posterior_moments,
     prepare_state,
     truncate_terms,
-    update_bayesian,
-    update_frequentist,
 )
 from vqekit.estimate import (
     BATCH_SIZE,
@@ -55,64 +52,6 @@ from vqekit.errors import ParameterError, ValidationError
 from conftest import wall_budget
 from test_fermion import random_integrals
 from test_simulator import random_state
-
-
-class TestTermEstimator:
-    def test_welford_matches_numpy(self):
-        rng = np.random.default_rng(2)
-        xs = rng.normal(size=200)
-        est = TermEstimator.frequentist()
-        for x in xs:
-            est = update_frequentist(est, float(x))
-        assert est.n == 200
-        assert est.value == pytest.approx(float(np.mean(xs)), rel=1e-12)
-        assert est.sample_variance == pytest.approx(
-            float(np.var(xs, ddof=1)), rel=1e-12
-        )
-        assert est.estimator_variance == pytest.approx(
-            float(np.var(xs, ddof=1)) / 200, rel=1e-12
-        )
-
-    def test_small_counts_give_infinite_variance(self):
-        est = TermEstimator.frequentist()
-        assert est.sample_variance == np.inf
-        est = update_frequentist(est, 1.0)
-        assert est.estimator_variance == np.inf
-
-    def test_mode_guards(self):
-        freq = TermEstimator.frequentist()
-        bayes = TermEstimator.bayesian(m1=1.0, m2=-1.0)
-        with pytest.raises(ParameterError):
-            update_bayesian(freq, 1, 1)
-        with pytest.raises(ParameterError):
-            update_frequentist(bayes, 0.5)
-        with pytest.raises(ParameterError):
-            _ = bayes.sample_variance
-        with pytest.raises(ParameterError):
-            TermEstimator(mode="maximum_likelihood")
-
-    def test_bayesian_counts(self):
-        est = TermEstimator.bayesian(m1=0.5, m2=-0.5)
-        assert (est.alpha, est.beta) == (1.0, 1.0)
-        est = update_bayesian(est, 10, 7)
-        assert (est.alpha, est.beta, est.n) == (8.0, 4.0, 10)
-        with pytest.raises(ParameterError):
-            update_bayesian(est, 5, 6)
-
-    def test_posterior_moments_match_exact_rationals(self):
-        for alpha, beta in ((1, 1), (8, 4), (101, 17), (3, 250)):
-            mean, var = posterior_moments(alpha, beta, 1.0, -1.0)
-            s = Fraction(alpha + beta)
-            p = Fraction(alpha) / s
-            p_var = Fraction(alpha * beta) / (s * s * (s + 1))
-            want_mean = 2 * p - 1
-            want_var = 4 * p_var
-            assert mean == pytest.approx(float(want_mean), rel=1e-15)
-            assert var == pytest.approx(float(want_var), rel=1e-15)
-
-    def test_posterior_moments_validation(self):
-        with pytest.raises(ParameterError):
-            posterior_moments(0.0, 1.0, 1.0, -1.0)
 
 
 class TestMeasurementPlan:
@@ -508,22 +447,68 @@ class TestEstimateExpectation:
         # posterior mean is shrunk toward zero but well inside epsilon
         assert rep.value == pytest.approx(-1.0, abs=0.05)
 
-    def test_bayesian_keeps_co_measured_covariance(self, twospin, state01):
+    def test_bayesian_keeps_co_measured_covariance(self, twospin, state01, h2_hamiltonian):
         # On |01> XX and YY always agree.  Independent per-term posteriors
         # halve the group's variance: their 95% intervals covered about 86%
         # of runs, and z-scores spread with a standard deviation near 1.2.
-        plan = MeasurementPlan(groups=((0, 1), (2,), (3, 4)))
-        runs, covered, z = 300, 0, []
-        for seed in range(runs):
-            rep = estimate_expectation(
-                lambda: state01, twospin, plan, epsilon=0.1, mode="bayesian",
-                rng=make_rng(20_000 + seed), credible_level=0.95,
+        # H2's auto plan at theta = 0.3 has groups of 6 and 8 correlated
+        # strings, where the moment-matched Beta is an approximation; there
+        # the prior's pull toward 0 shifts the mean z by +0.1 to +0.3.
+        acfg = AnsatzConfig(generator_set=fermionic_ucc_generators(4, [0, 1], [2, 3], 2))
+        h2_state = prepare_state(
+            ReferenceState.from_occupied(4, [0, 1]), acfg, np.full(parameter_count(acfg), 0.3)
+        )
+        h2 = h2_hamiltonian
+        h2_plan = build_groups(h2, exact_covariances(h2, h2_state))
+        assert sorted(len(g) for g in h2_plan.groups) == [6, 8]
+        h2_true = expectation_and_variance(h2_state, h2)[0]
+        cases = [
+            (twospin, state01, MeasurementPlan(groups=((0, 1), (2,), (3, 4))), 0.1, -1.0),
+            *((h2, h2_state, h2_plan, eps, h2_true) for eps in (0.05, 0.02, 0.01)),
+        ]
+        for h, state, plan, eps, true in cases:
+            runs, covered, z = 300, 0, []
+            for seed in range(runs):
+                rep = estimate_expectation(
+                    lambda: state, h, plan, epsilon=eps, mode="bayesian",
+                    rng=make_rng(20_000 + seed), credible_level=0.95,
+                )
+                lo, hi = rep.credible_interval
+                covered += lo <= true <= hi
+                z.append((rep.value - true) / np.sqrt(rep.variance_of_estimator))
+            assert 0.90 * runs <= covered <= 0.99 * runs, (h.n_qubits, eps)
+            assert np.std(z) < 1.1, (h.n_qubits, eps)
+
+    @pytest.mark.parametrize(
+        "mode, level", [("frequentist", 0.95), ("bayesian", 1.5), ("bayesian", 0.0),
+                        ("bayesian", 1.0), ("bayesian", float("nan"))],
+    )
+    def test_bad_credible_level_raises_before_sampling(self, twospin, mode, level):
+        # Frequentist mode dropped any level; a Bayesian level out of range
+        # raised only after every group's shots were drawn.
+        plan = MeasurementPlan(groups=((0,), (1, 2), (3, 4)))
+        rng = make_rng(0)
+
+        def prep():
+            raise AssertionError("sampling started")
+
+        with pytest.raises(ParameterError):
+            estimate_expectation(
+                prep, twospin, plan, epsilon=0.1, mode=mode, rng=rng, credible_level=level
             )
-            lo, hi = rep.credible_interval
-            covered += lo <= -1.0 <= hi
-            z.append((rep.value + 1.0) / np.sqrt(rep.variance_of_estimator))
-        assert 0.90 * runs <= covered <= 0.99 * runs
-        assert np.std(z) < 1.1
+        assert rng.random() == make_rng(0).random()
+
+    @pytest.mark.parametrize(
+        "terms", [[(0.0, "ZZ"), (0.0, "XI"), (0.25, "II")], [(0.25, "II")]],
+        ids=["zero coefficients", "no groups"],
+    )
+    def test_interval_without_densities_is_the_identity_point(self, state01, terms):
+        h = PauliSum.hermitian(terms)
+        rep = estimate_expectation(
+            lambda: state01, h, build_groups(h), epsilon=0.1, mode="bayesian",
+            rng=make_rng(0), credible_level=0.95,
+        )
+        assert rep.credible_interval == (0.25, 0.25)
 
     def test_interval_of_a_deterministic_term_is_finite(self, state01):
         # All 200 shots agree, so the posterior is Beta(1, 201) exactly, but
@@ -784,7 +769,9 @@ def one_batch_group(sampler, coeffs, target, rng, mode):
 
 class TestBlockDraws:
     """Shots drawn in large blocks, with the generator rewound to the stop,
-    give the reports and streams of one BATCH_SIZE draw per check."""
+    give the reports and streams of one BATCH_SIZE draw per check.  This is
+    criterion 6's "batch updates compose additively": the posterior's sums
+    n, S1 and S2 do not depend on how the shots are split into blocks."""
 
     @pytest.fixture(scope="class")
     def cases(self, h2_hamiltonian):
@@ -1023,6 +1010,21 @@ class TestGroupLoop:
 
 
 class TestPosteriorDensity:
+    def test_posterior_moments_match_exact_rationals(self):
+        for alpha, beta in ((1, 1), (8, 4), (101, 17), (3, 250)):
+            mean, var = posterior_moments(alpha, beta, 1.0, -1.0)
+            s = Fraction(alpha + beta)
+            p = Fraction(alpha) / s
+            p_var = Fraction(alpha * beta) / (s * s * (s + 1))
+            want_mean = 2 * p - 1
+            want_var = 4 * p_var
+            assert mean == pytest.approx(float(want_mean), rel=1e-15)
+            assert var == pytest.approx(float(want_var), rel=1e-15)
+
+    def test_posterior_moments_validation(self):
+        with pytest.raises(ParameterError):
+            posterior_moments(0.0, 1.0, 1.0, -1.0)
+
     def test_flat_prior_density_is_uniform(self):
         d = beta_density(1.0, 1.0, 1.0, -1.0)
         assert d.mass() == pytest.approx(1.0, abs=1e-9)
