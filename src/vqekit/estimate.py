@@ -58,8 +58,8 @@ def posterior_moments(
     alpha: float, beta: float, m1: float, m2: float
 ) -> tuple[float, float]:
     """Mean and variance of m1*p + m2*(1-p) under p ~ Beta(alpha, beta)."""
-    if alpha <= 0 or beta <= 0:
-        raise ParameterError("Beta parameters must be positive")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):  # NaN fails too
+        raise ParameterError(f"Beta parameters must be finite and positive: {alpha!r}, {beta!r}")
     s = alpha + beta
     p_mean = alpha / s
     p_var = alpha * beta / (s * s * (s + 1.0))

@@ -22,6 +22,7 @@ from .pauli import (
     MAX_DENSE_QUBITS,
     PauliString,
     PauliSum,
+    _PHASE_SIGNS,
     _first_anticommuting_pair,
     _mask_product,
 )
@@ -172,40 +173,115 @@ def ground_state(h: PauliSum) -> tuple[float, StateVector]:
     return float(vals[0]), StateVector(vecs[:, 0], copy=True)
 
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
+def _conjugate(x: list[int], z: list[int], gates) -> int:
+    """Conjugate Pauli rows by each gate U in turn, P -> U P U^+, and return
+    the sign bits they pick up (rules of Aaronson and Gottesman, quant-ph/0406196).
+    Bit j of x[q] and z[q], updated in place, is row j's X and Z bit on qubit q.
+    Gates: ("h", a, a), ("s", a, a), ("cnot", control, target), ("cz", a, b)."""
+    sign = 0
+    for gate, a, b in gates:
+        if gate == "h":
+            sign ^= x[a] & z[a]
+            x[a], z[a] = z[a], x[a]
+        elif gate == "s":
+            sign ^= x[a] & z[a]
+            z[a] ^= x[a]
+        elif gate == "cnot":
+            sign ^= x[a] & z[b] & ~(x[b] ^ z[a])
+            x[b], z[a] = x[b] ^ x[a], z[a] ^ z[b]
+        else:
+            sign ^= x[a] & x[b] & (z[a] ^ z[b])
+            z[a], z[b] = z[a] ^ x[b], z[b] ^ x[a]
+    return sign
 
 
-def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """sum_S (-1)^{|b & S|} a[S] at every b, for a of length 2^r: one
-    butterfly (x + y, x - y) per bit, exact sums as the products are by +-1."""
-    h = 1
-    while h < a.size:
-        a = _HADAMARD @ a.reshape(-1, 2, h)
-        h *= 2
-    return a.ravel()
+@lru_cache(maxsize=512)
+def _compile_group(strings: tuple[PauliString, ...]) -> tuple:
+    """(levels, outcome_table, src, phase, pivots, codes) of commuting strings:
+    g_j is strings[levels[j]], and C = H_pivots diag(phase) CNOTs takes each
+    g_j to +-Z^{a_j}, with (CNOTs psi)[m] = psi[src[m]] and codes[m] the
+    outcome pattern of basis state m of C psi.  Raises are not cached."""
+    n = strings[0].n_qubits
+    # rows[pivot]: reduced (x, z, set of generators XORed in), X bits first.
+    rows, gens, levels, combos, signs = {}, [], [], [], []
+    for level, s in enumerate(strings):
+        x, z, combo = s.x_mask, s.z_mask, 0
+        while x | z and (pivot := ((x << n) | z).bit_length()) in rows:
+            rx, rz, rc = rows[pivot]
+            x, z, combo = x ^ rx, z ^ rz, combo ^ rc
+        if x | z:  # independent of the earlier strings: a new generator
+            rows[pivot] = (x, z, combo ^ (1 << len(gens)))
+            combo = 1 << len(gens)
+            levels.append(level)
+            gens.append(s)
+        # s is the product of the generators in `combo` (+1 times itself if one).
+        unit, px, pz = 1, 0, 0
+        for j, g in enumerate(gens if combo & (combo - 1) else ()):
+            if combo >> j & 1:
+                ph, px, pz = _mask_product(px, pz, g.x_mask, g.z_mask)
+                unit *= ph
+        combos.append(combo)
+        signs.append(int(unit.real))
+    # Every string is a product of generators and the symplectic form is
+    # bilinear, so commuting generators make every pair commute.
+    if any(((a.x_mask & b.z_mask).bit_count() ^ (a.z_mask & b.x_mask).bit_count()) & 1
+           for j, a in enumerate(gens) for b in gens[:j]):
+        pair = _first_anticommuting_pair([(s.x_mask, s.z_mask) for s in strings])
+        a, b = (strings[i].letters for i in pair)
+        raise NonCommutingGroupError(f"{a} and {b} do not commute")
+    # outcome_table[b, i]: the +1/-1 outcome of string i in pattern b.
+    odd = np.bitwise_count(np.arange(1 << len(gens))[:, None] & np.array(combos)) & 1
+    signs = np.array(signs, dtype=np.int8)
+    table = np.where(odd, -signs, signs)
+    table.setflags(write=False)
+    # red[p]: the one row with X on p, taking rows by X.  CNOTs p -> q clear its
+    # other X (no target is a pivot: they commute), S/CZ its Z on pivots, H its X.
+    red: dict[int, tuple[int, int]] = {}
+    for x, z, _ in sorted(rows.values()):
+        for p, (rx, rz) in red.items():
+            if x >> p & 1:
+                x, z = x ^ rx, z ^ rz
+        if x:
+            red[x.bit_length() - 1] = (x, z)
+    gates = [("cnot", p, q) for p, (x, _) in red.items() for q in range(n)
+             if q != p and x >> q & 1]
+    # After the CNOTs, row p has Z on pivot q iff |z_p & x_q| is odd.
+    diagonal = [("s" if p == q else "cz", p, q) for p in red for q in red
+                if q <= p and (red[p][1] & red[q][0]).bit_count() & 1]
+    xs, zs = [0] * n, [0] * n  # the generators in column form
+    for j, g in enumerate(gens):
+        for cols, mask in (xs, g.x_mask), (zs, g.z_mask):
+            while mask:
+                cols[q := mask.bit_length() - 1] |= 1 << j
+                mask ^= 1 << q
+    sign = _conjugate(xs, zs, gates + diagonal + [("h", p, p) for p in red])
+    # g_j is (-1)^(sign_j + |m & a_j|) on basis state m of C psi, bit q of a_j
+    # is bit j of zs[q]: code(m) and src[m] are linear in m, packed in one array.
+    d = 1 << n
+    packed = np.full(d, sign << n, np.intp)
+    for q in range(n):
+        row = red[q][0] if q in red else 1 << q
+        np.bitwise_xor(packed[:1 << q], zs[q] << n | row, out=packed[1 << q:2 << q])
+    phase = 1.0
+    if diagonal:  # S on p: i^(m_p); CZ on p, q: (-1)^(m_p m_q)
+        m = np.arange(d)
+        expo = sum((1 + (p != q)) * (m >> p & m >> q & 1) for _, p, q in diagonal)
+        phase = _PHASE_SIGNS[expo & 3, 0]
+    src = packed & (d - 1) if red else slice(None)
+    return tuple(levels), table, src, phase, tuple(red), packed >> n
 
 
 class GroupSampler:
     """Repeated projective measurement of one commuting group on one state.
 
-    GF(2) elimination on the strings' (x, z) masks, in string order, picks
-    r <= n independent generators g_0 .. g_{r-1}.  Every other string is a
-    sign times a product of earlier generators, so its outcome is that sign
-    times theirs, exactly.  The 2^r expectations <psi| prod_{j in S} g_j |psi>
-    are computed in Gray-code order, one string apply each, and one
-    Walsh-Hadamard transform turns them into the probability of each outcome
-    pattern b of the generators (bit j of b set: g_j gave -1).  Summing out
-    the later generators gives the conditional probability of +1 for each
-    generator after each pattern of the ones before it.
-
-    `draw` takes one uniform variate per string, shot-major, dependent
-    strings included, and gives +1 iff u < p_plus: the outcomes and the
-    generator state after it are those of measuring the strings one at a
-    time with state collapse.  A shot's code is its pattern b, whatever the
-    draw sizes.  The read-only array `probabilities` holds the probability
-    of each of the 2^r patterns, indexed by code.  Validation (dimensions,
-    commutation of the r generators, which gives every pair) runs once, here.
-    """
+    GF(2) elimination in string order picks r <= n independent generators
+    g_j; every other string's outcome is a sign times theirs, exactly.  A
+    Clifford C takes each g_j to +-Z^{a_j}, so outcome pattern b (bit j set:
+    g_j gave -1) has the weight of |C psi|^2 on its basis states, read-only in
+    `probabilities`.  All but C psi is compiled once per tuple of strings.
+    `draw` takes one uniform variate per string, shot-major, and gives +1 iff
+    u < P(+1 | earlier outcomes), as measuring the strings one at a time with
+    state collapse would; a shot's code is its pattern b."""
 
     def __init__(
         self, state: StateVector, strings: list[PauliString] | tuple[PauliString, ...]
@@ -213,70 +289,33 @@ class GroupSampler:
         strings = tuple(strings)
         if not strings:
             raise ValidationError("empty measurement group")
-        for s in strings:
-            if s.n_qubits != state.n_qubits:
-                raise DimensionError("group string and state qubit counts differ")
-        self.n_qubits = state.n_qubits
-        self.strings = strings
-        # Reduced rows by pivot: (x, z, set of generators XORed into them).
-        rows: dict[int, tuple[int, int, int]] = {}
-        gens: list[PauliString] = []
-        levels, combos, signs = [], [], []
-        for level, s in enumerate(strings):
-            x, z, combo = s.x_mask, s.z_mask, 0
-            while x | z and (pivot := ((z << self.n_qubits) | x).bit_length()) in rows:
-                rx, rz, rc = rows[pivot]
-                x, z, combo = x ^ rx, z ^ rz, combo ^ rc
-            if x | z:  # independent of the earlier strings: a new generator
-                rows[pivot] = (x, z, combo ^ (1 << len(gens)))
-                combo = 1 << len(gens)
-                levels.append(level)
-                gens.append(s)
-            # s is the product of the generators in `combo`, up to a sign.
-            phase, px, pz = 1, 0, 0
-            for j, g in enumerate(gens):
-                if combo >> j & 1:
-                    ph, px, pz = _mask_product(px, pz, g.x_mask, g.z_mask)
-                    phase *= ph
-            combos.append(combo)
-            signs.append(int(phase.real))
-        # Every string is a product of generators and the symplectic form is
-        # bilinear, so commuting generators make every pair commute.
-        if any(((a.x_mask & b.z_mask).bit_count() ^ (a.z_mask & b.x_mask).bit_count()) & 1
-               for j, a in enumerate(gens) for b in gens[:j]):
-            pair = _first_anticommuting_pair([(s.x_mask, s.z_mask) for s in strings])
-            a, b = (strings[i].letters for i in pair)
-            raise NonCommutingGroupError(f"{a} and {b} do not commute")
-        r = self.rank = len(gens)
-        self._levels = tuple(levels)
-        # mean[S] = <psi| prod_{j in S} g_j |psi>, g_j on bit j of S; the
-        # Gray-code order changes S by one generator per step.
-        psi = state.amplitudes
-        mean = np.empty(1 << r)
-        mean[0] = 1.0
-        phi, subset = psi, 0
-        for i in range(1, mean.size):
-            bit = (i & -i).bit_length() - 1
-            subset ^= 1 << bit
-            phi = _apply_string(phi, gens[bit])
-            mean[subset] = np.vdot(psi, phi).real
-        # Rounding can leave an impossible pattern at -1e-17.
-        marginal = np.maximum(_walsh_hadamard(mean) / mean.size, 0.0)
-        marginal.setflags(write=False)
-        self.probabilities = marginal
-        # tables[j][b]: P(g_j gives +1 | generators 0..j-1 gave pattern b).
-        # A pattern of probability 0 is never reached; its entry is unused.
-        self._tables = []
+        if any(s.n_qubits != state.n_qubits for s in strings):
+            raise DimensionError("group string and state qubit counts differ")
+        self.n_qubits, self.strings = state.n_qubits, strings
+        self._levels, self.outcome_table, src, phase, pivots, codes = _compile_group(strings)
+        r = self.rank = len(self._levels)
+        # C psi, each H an unnormalised butterfly (x + y, x - y).
+        v = phase * state.amplitudes[src]
+        out = np.empty_like(v)
+        for p in pivots:
+            a, b = v.reshape(-1, 2, 1 << p), out.reshape(-1, 2, 1 << p)
+            np.add(a[:, 0], a[:, 1], out=b[:, 0])
+            np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+            v, out = out, v
+        w = v.view(float) ** 2
+        # marg[2^j + b]: the probability that g_0..g_{j-1} give pattern b.
+        marg, plus = np.empty(2 << r), np.empty((1 << r) - 1)
+        np.multiply(np.bincount(codes, w[0::2] + w[1::2], minlength=1 << r),
+                    0.5 ** len(pivots), out=marg[1 << r:])
         for j in reversed(range(r)):
-            plus, minus = marginal.reshape(2, 1 << j)
-            marginal = plus + minus
-            p_plus = np.divide(plus, marginal, out=np.ones_like(plus), where=marginal > 0)
-            self._tables.insert(0, p_plus)
-        # outcome_table[b, i]: the +1/-1 outcome of string i in pattern b.
-        odd = np.bitwise_count(np.arange(1 << r)[:, None] & np.array(combos)) & 1
-        signs = np.array(signs)
-        self.outcome_table = np.where(odd, -signs, signs)
-        self.outcome_table.setflags(write=False)
+            plus[(1 << j) - 1:(2 << j) - 1] = marg[2 << j:3 << j]
+            np.add(marg[2 << j:3 << j], marg[3 << j:4 << j], out=marg[1 << j:2 << j])
+        self.probabilities = marg[1 << r:]
+        self.probabilities.setflags(write=False)
+        # tables[j][b]: P(g_j = +1 | g_0..g_{j-1} gave b), unused 1 if P(b) = 0.
+        den = marg[1:1 << r]
+        p_plus = np.divide(plus, den, out=np.ones(den.size), where=den > 0)
+        self._tables = [p_plus[(1 << j) - 1:(2 << j) - 1] for j in range(r)]
 
     def draw(self, rng: np.random.Generator, shots: int) -> np.ndarray:
         """Pattern codes of `shots` independent measurements, in shot order."""

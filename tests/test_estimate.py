@@ -5,6 +5,7 @@ only the XX and YY terms fluctuate, which makes every grouping cost
 computable by hand.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -1024,6 +1025,14 @@ class TestPosteriorDensity:
     def test_posterior_moments_validation(self):
         with pytest.raises(ParameterError):
             posterior_moments(0.0, 1.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0),
+    ])
+    def test_posterior_moments_reject_nan_and_inf(self, alpha, beta):
+        # NaN and inf pass `alpha <= 0`; before the check they gave (nan, nan).
+        with pytest.raises(ParameterError, match="finite and positive"):
+            posterior_moments(alpha, beta, 1.0, -1.0)
 
     def test_flat_prior_density_is_uniform(self):
         d = beta_density(1.0, 1.0, 1.0, -1.0)

@@ -27,6 +27,7 @@ from vqekit import (
     build_groups,
     build_hamiltonian,
     commutes,
+    estimate_expectation,
     evolve_schedule,
     exact_eigensystem,
     expectation_and_variance,
@@ -434,6 +435,44 @@ class TreeSampler:
         return self._prefix[leaf]
 
 
+def gray_code_probabilities(state, gens):
+    """The pattern probabilities of commuting generators as GroupSampler
+    computed them before its Clifford form, kept verbatim as the reference:
+    the 2^r expectations of generator products in Gray-code order, one
+    string apply each, and one Walsh-Hadamard transform divided by 2^r."""
+    psi = state.amplitudes
+    mean = np.empty(1 << len(gens))
+    mean[0] = 1.0
+    phi, subset = psi, 0
+    for i in range(1, mean.size):
+        bit = (i & -i).bit_length() - 1
+        subset ^= 1 << bit
+        phi = simulator._apply_string(phi, gens[bit])
+        mean[subset] = np.vdot(psi, phi).real
+    a, h = mean, 1
+    while h < a.size:
+        a = np.array([[1.0, 1.0], [1.0, -1.0]]) @ a.reshape(-1, 2, h)
+        h *= 2
+    # Rounding can leave an impossible pattern at -1e-17.
+    return np.maximum(a.ravel() / mean.size, 0.0)
+
+
+def seeded_ucc_set(m):
+    """The seeded m-mode set: its Hamiltonian, an order-2 UCC state on the
+    lower half of the modes, and a `build_groups` plan."""
+    occ, virt = range(m // 2), range(m // 2, m)
+    h = jordan_wigner(build_hamiltonian(random_integrals(np.random.default_rng(7000 + m), m)))
+    cfg = AnsatzConfig(generator_set=fermionic_ucc_generators(m, occ, virt, 2))
+    theta = np.random.default_rng(7000 + m).normal(0.0, 0.1, parameter_count(cfg))
+    state = prepare_state(ReferenceState.from_occupied(m, occ), cfg, theta)
+    return h, state, build_groups(h)
+
+
+@pytest.fixture(scope="module")
+def ten_modes():
+    return seeded_ucc_set(10)
+
+
 def same_rng_state(a, b) -> bool:
     """Bit-generator states compare equal (Philox keeps numpy arrays)."""
     if isinstance(a, dict):
@@ -626,16 +665,12 @@ class TestGroupSampler:
         outcomes = {sampler.outcomes(leaf) for leaf in sampler.draw(make_rng(5), 200)}
         assert outcomes == {(1,), (-1,)}
 
-    def test_ten_mode_groups_are_fast(self, monkeypatch):
-        # Every group of a seeded 10-mode Hamiltonian on an order-2 UCC state.
-        # On a 2-core x86 host the former prefix tree took 5.1 s for this
-        # loop, and the joint distribution 0.6 s.
-        m, occ, virt = 10, range(5), range(5, 10)
-        h = jordan_wigner(build_hamiltonian(random_integrals(np.random.default_rng(7000 + m), m)))
-        cfg = AnsatzConfig(generator_set=fermionic_ucc_generators(m, occ, virt, 2))
-        theta = np.random.default_rng(7000 + m).normal(0.0, 0.1, parameter_count(cfg))
-        state = prepare_state(ReferenceState.from_occupied(m, occ), cfg, theta)
-        plan = build_groups(h)
+    def test_ten_mode_groups_are_fast(self, ten_modes, monkeypatch):
+        # Every group of the seeded 10-mode set, from an empty cache.  On a
+        # 2-core x86 host the former prefix tree took 5.1 s for this loop,
+        # the joint distribution from 2^r - 1 string applies 0.6 s.
+        m = 10
+        h, state, plan = ten_modes
         assert len(plan.groups) == 197
         applies = []
         real = simulator._apply_string
@@ -645,14 +680,134 @@ class TestGroupSampler:
             return real(amps, s)
 
         monkeypatch.setattr(simulator, "_apply_string", counted)
+        simulator._compile_group.cache_clear()
         rng = make_rng(0)
         with wall_budget(3.0):
             for g in plan.groups:
-                before = len(applies)
-                sampler = GroupSampler(state, [h.terms[i].string for i in g])
-                assert len(applies) - before <= (1 << sampler.rank) - 1
-                assert sampler.rank <= m
+                strings = tuple(h.terms[i].string for i in g)
+                sampler = GroupSampler(state, strings)
+                # One butterfly per X pivot of the compiled form: k <= r <= m.
+                pivots = simulator._compile_group(strings)[4]
+                assert len(pivots) <= sampler.rank <= m
                 sampler.draw(rng, 1000)
+        assert applies == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(commuting_groups())
+    def test_probabilities_match_the_gray_code_reference(self, case):
+        state, group = case
+        sampler = GroupSampler(state, group)
+        want = gray_code_probabilities(state, [group[lv] for lv in sampler._levels])
+        assert sampler.probabilities.shape == want.shape
+        assert np.max(np.abs(sampler.probabilities - want)) <= 1e-15
+
+    def test_ten_mode_probabilities_match_the_gray_code_reference(self, ten_modes):
+        # Ranks reach 10 here: a uint8 parity shifted left by j >= 8 wraps to
+        # 0 without a warning, so only ranks of 9 and more show that slip.
+        h, state, plan = ten_modes
+        ranks = []
+        for g in plan.groups:
+            group = [h.terms[i].string for i in g]
+            sampler = GroupSampler(state, group)
+            want = gray_code_probabilities(state, [group[lv] for lv in sampler._levels])
+            assert np.max(np.abs(sampler.probabilities - want)) <= 1e-15, g
+            ranks.append(sampler.rank)
+        assert max(ranks) == 10 and sum(r >= 9 for r in ranks) > 10
+
+
+def _dense_gate(gate, qubits, n):
+    """The 2^n x 2^n matrix of one gate, bit q of a basis index on qubit q."""
+    m = np.arange(1 << n)
+    bit = [m >> q & 1 for q in range(n)]
+    a = qubits[0]
+    if gate == "h":
+        u = np.zeros((1 << n, 1 << n))
+        u[m, m] = 1 - 2 * bit[a]
+        u[m ^ 1 << a, m] = 1
+        return u / np.sqrt(2)
+    if gate == "s":
+        return np.diag(1j ** bit[a])
+    b = qubits[1]
+    if gate == "cz":
+        return np.diag((-1.0) ** (bit[a] & bit[b]))
+    u = np.zeros((1 << n, 1 << n))  # cnot, control a and target b
+    u[m ^ bit[a] << b, m] = 1
+    return u
+
+
+class TestConjugate:
+    """Each Clifford conjugation rule against dense U P U^+."""
+
+    @pytest.mark.parametrize("gate, qubits", [
+        *(("h", (a, a)) for a in range(3)),
+        *(("s", (a, a)) for a in range(3)),
+        *(("cnot", (a, b)) for a in range(3) for b in range(3) if a != b),
+        *(("cz", (a, b)) for a in range(3) for b in range(3) if a < b),
+    ])
+    def test_rule_matches_dense_conjugation(self, gate, qubits):
+        n = 3
+        paulis = [PauliString.from_masks(n, x, z) for x in range(8) for z in range(8)]
+        # All 64 Paulis as the rows of one column-form tableau.
+        xs = [sum((p.x_mask >> q & 1) << j for j, p in enumerate(paulis)) for q in range(n)]
+        zs = [sum((p.z_mask >> q & 1) << j for j, p in enumerate(paulis)) for q in range(n)]
+        signs = simulator._conjugate(xs, zs, [(gate, *qubits)])
+        u = _dense_gate(gate, qubits, n)
+        for j, p in enumerate(paulis):
+            x = sum((xs[q] >> j & 1) << q for q in range(n))
+            z = sum((zs[q] >> j & 1) << q for q in range(n))
+            sign = -1.0 if signs >> j & 1 else 1.0
+            want = u @ p.to_matrix() @ u.conj().T
+            got = sign * PauliString.from_masks(n, x, z).to_matrix()
+            np.testing.assert_allclose(got, want, atol=1e-14, err_msg=f"{gate}{qubits} {p}")
+
+
+class TestGroupCache:
+    """One compiled form per tuple of strings, shared by every build."""
+
+    def test_sums_with_equal_strings_share_one_form(self, state01):
+        a = PauliSum.hermitian([(-1.0, "XX"), (-1.0, "YY"), (1.0, "ZZ")])
+        b = PauliSum.hermitian([(0.3, "XX"), (2.0, "YY"), (-0.7, "ZZ")])
+        plan = build_groups(a)
+        assert plan.groups == build_groups(b).groups == ((0, 1, 2),)
+        estimate_expectation(lambda: state01, a, plan, 0.1, rng=make_rng(0))
+        before = simulator._compile_group.cache_info()
+        estimate_expectation(lambda: state01, b, plan, 0.1, rng=make_rng(0))
+        after = simulator._compile_group.cache_info()
+        assert after.hits > before.hits and after.misses == before.misses
+        # Equal strings, distinct objects: one form.
+        assert a.terms[0].string is not b.terms[0].string
+        form = simulator._compile_group(tuple(t.string for t in a.terms))
+        assert simulator._compile_group(tuple(t.string for t in b.terms)) is form
+
+    def test_a_failing_group_raises_on_every_call(self):
+        state = StateVector.from_label("000")
+        group = [PauliString("XII"), PauliString("IIZ"), PauliString("ZIX"), PauliString("ZII")]
+        before = simulator._compile_group.cache_info()
+        for _ in range(2):
+            with pytest.raises(NonCommutingGroupError, match="^XII and ZIX do not commute$"):
+                GroupSampler(state, group)
+        after = simulator._compile_group.cache_info()
+        assert after.misses == before.misses + 2
+        assert after.currsize == before.currsize
+
+    def test_twelve_mode_groups_are_fast_and_fit_the_cache(self):
+        # Every group of the seeded 12-mode set (331 groups, ranks up to 12)
+        # from an empty cache: about 0.2 s on a 2-core x86 host, where
+        # 2^r - 1 string applies per group took about 7 s.
+        h, state, plan = seeded_ucc_set(12)
+        groups = [tuple(h.terms[i].string for i in g) for g in plan.groups]
+        assert len(groups) == 331
+        info = simulator._compile_group.cache_info
+        simulator._compile_group.cache_clear()
+        with wall_budget(1.5):
+            for g in groups:
+                GroupSampler(state, g)
+        assert info().misses == info().currsize == 331
+        # A second pass finds every form: none was evicted.
+        for g in groups:
+            GroupSampler(state, g)
+        assert info().hits == 331 and info().misses == 331
+        simulator._compile_group.cache_clear()
 
 
 def two_qubit_pair():
