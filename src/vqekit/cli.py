@@ -34,6 +34,7 @@ from .simulator import (
     StateVector,
     _check_step_bound,
     _expectation,
+    _norm_bound,
     expectation_and_variance,
 )
 
@@ -420,8 +421,9 @@ def cmd_adiabatic(cfg: dict, out_override=None, seed_override=None, base=Path(".
     steps = cfg.get("steps")
     steps = _integer(steps, "steps", 1) if steps is not None else None
     n_switches = _integer(cfg.get("n_switches", 2), "n_switches", 0)
+    n, bound = max(h_i.n_qubits, h_p.n_qubits), max(_norm_bound(h_i), _norm_bound(h_p))
     for tau in taus:
-        _check_step_bound(h_i, h_p, tau, steps or _schedule._default_steps(tau))
+        _check_step_bound(n, tau, steps or _schedule._default_steps(tau), bound)
 
     levels = _schedule.spectrum_along_path(h_i, h_p, a_grid)
     spec_rows = [

@@ -48,7 +48,7 @@ _PHASE_SIGNS = np.array(_PHASES)[:, None] * np.array([1.0, -1.0])
 class PauliString:
     """An n-qubit Pauli operator with unit coefficient."""
 
-    __slots__ = ("n_qubits", "x_mask", "z_mask")
+    __slots__ = ("n_qubits", "x_mask", "z_mask", "_hash")
 
     def __init__(self, letters: str):
         if not letters or any(c not in _LETTER_TO_BITS for c in letters):
@@ -63,6 +63,7 @@ class PauliString:
         self.n_qubits = n
         self.x_mask = x
         self.z_mask = z
+        self._hash = None
 
     @classmethod
     def from_masks(cls, n_qubits: int, x_mask: int, z_mask: int) -> "PauliString":
@@ -75,6 +76,7 @@ class PauliString:
         obj.n_qubits = n_qubits
         obj.x_mask = x_mask
         obj.z_mask = z_mask
+        obj._hash = None
         return obj
 
     @classmethod
@@ -137,7 +139,9 @@ class PauliString:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n_qubits, self.x_mask, self.z_mask))
+        if self._hash is None:  # strings are immutable: hashed once, on first use
+            self._hash = hash((self.n_qubits, self.x_mask, self.z_mask))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"PauliString({self.letters!r})"

@@ -256,10 +256,15 @@ def optimize_path(
     defaults to Nelder-Mead with a loose tolerance suited to the smooth
     2-parameter landscape.
     """
+    return _optimized_record(family, h_i, h_p, tau, steps, objective, optimizer, n_switches, ())
+
+
+def _optimized_record(family, h_i, h_p, tau, steps, objective, optimizer, n_switches, ends):
+    """optimize_path, from `ends` = _endpoints(h_i, h_p) if given."""
     if objective not in ("energy", "infidelity"):
         raise ValidationError(f"unknown objective {objective!r}")
     steps = steps if steps is not None else _default_steps(tau)
-    start, target = _endpoints(h_i, h_p)
+    start, target = ends or _endpoints(h_i, h_p)
 
     def run(params: np.ndarray) -> float:
         sched = make_schedule(family, tau, params)
@@ -286,11 +291,12 @@ def baseline_record(
     steps: int | None = None,
 ) -> PathRecord:
     """The un-optimized linear path at this tau, for comparison columns."""
+    return _baseline(h_i, h_p, tau, steps, _endpoints(h_i, h_p))
+
+
+def _baseline(h_i, h_p, tau, steps, ends) -> PathRecord:
     steps = steps if steps is not None else _default_steps(tau)
-    start, target = _endpoints(h_i, h_p)
-    return _record_path(
-        Schedule.linear(tau), (1.0 / tau,), 1, h_i, h_p, steps, start, target
-    )
+    return _record_path(Schedule.linear(tau), (1.0 / tau,), 1, h_i, h_p, steps, *ends)
 
 
 def path_study(
@@ -302,19 +308,13 @@ def path_study(
     steps: int | None = None,
     n_switches: int = 2,
 ) -> PathStudyResult:
-    """Linear baseline plus optimized-family record at every tau."""
-    records = []
-    for tau in taus:
-        records.append(baseline_record(h_i, h_p, float(tau), steps))
+    """Linear baseline plus optimized-family record at every tau; the
+    endpoint eigensolves run once for the whole study."""
+    records, ends = [], ()
+    for tau in map(float, taus):
+        ends = ends or _endpoints(h_i, h_p)
+        records.append(_baseline(h_i, h_p, tau, steps, ends))
         records.append(
-            optimize_path(
-                family,
-                h_i,
-                h_p,
-                float(tau),
-                steps=steps,
-                objective=objective,
-                n_switches=n_switches,
-            )
+            _optimized_record(family, h_i, h_p, tau, steps, objective, None, n_switches, ends)
         )
     return PathStudyResult(records=tuple(records))

@@ -340,16 +340,18 @@ def _check_tau(tau) -> None:
         raise ValidationError(f"tau must be finite and positive, got {tau!r}")
 
 
-# Step kernels of `evolve_schedule`, picked from d = 2^n alone.  Crossovers
-# measured at 400 steps on a 2-core x86 host: eigh is fastest up to d = 8 (10 ms
-# against 13 ms for the dense series; 38 against 16 ms at d = 16), the dense
-# series up to d = 128 (71 against 170 ms for compiled applies; 261 against
-# 219 ms at d = 256).  Below this dimension every step is an eigendecomposition.
+# Step kernels of `evolve_schedule`, picked from d = 2^n alone.  Timed at 400
+# steps on a 2-core x86 host (best of 20): the dense series takes 4.1-4.4 ms
+# against 5.1-5.6 ms for eigh at d = 8, and 4.4-7.2 against 21 ms at d = 16; up
+# to d = 128 it beats compiled applies (46-49 against 66-71 ms; 166-189 against
+# 82-95 ms at d = 256).  The limits stay where they are, since moving one
+# changes the output bits at that size.  Below this dimension every step is
+# an eigendecomposition.
 _TAYLOR_MIN_DIM = 16
 # Longest series step, as the bound dt*||H_k||, before a step is split into
 # substeps: up to here one stays within 1e-15 of expm (7e-16 at 4, 3e-15 at 6).
 _TAYLOR_MAX_NORM = 4.0
-# Most substeps a configured step may take; one costs about 70 us at d = 16.
+# Most substeps a configured step may take; one of bound 4 costs 22-28 us at d = 16.
 _MAX_SUBSTEPS = 1000
 # The series stops once the bound on its tail falls below this.
 _TAYLOR_TOL = 1e-16
@@ -365,14 +367,13 @@ def _norm_bound(h: PauliSum) -> float:
     return sum(float(np.max(np.abs(diag))) for _, diag in h.compiled.groups)
 
 
-def _check_step_bound(h_i: PauliSum, h_p: PauliSum, tau: float, steps: int) -> None:
+def _check_step_bound(n_qubits: int, tau: float, steps: int, bound: float) -> None:
     """Refuse steps that the series would split into more than
-    _MAX_SUBSTEPS substeps each, by the bound dt*max(B_i, B_p) that holds
-    for every schedule value g in [0, 1].  The eigh kernel has no substeps."""
-    if 1 << max(h_i.n_qubits, h_p.n_qubits) < _TAYLOR_MIN_DIM:
-        return
-    x = tau / steps * max(_norm_bound(h_i), _norm_bound(h_p))
-    if x > _MAX_SUBSTEPS * _TAYLOR_MAX_NORM:
+    _MAX_SUBSTEPS substeps each, by dt*bound for bound = max(B_i, B_p),
+    which holds for every schedule value g in [0, 1].  The eigh kernel has
+    no substeps."""
+    x = tau / steps * bound
+    if 1 << n_qubits >= _TAYLOR_MIN_DIM and x > _MAX_SUBSTEPS * _TAYLOR_MAX_NORM:
         raise ValidationError(
             f"tau {tau!r} in {steps} steps: dt*||H|| reaches {x:.6g}, over "
             f"{_MAX_SUBSTEPS} series substeps per step; use more steps"
@@ -407,18 +408,20 @@ def _taylor_steps(amps, g, dt, x, matvec):
     """The state after each step, by the series of exp(A_k), A_k = -i H_k dt,
     in ceil(x_k / _TAYLOR_MAX_NORM) substeps for a bound x_k >= ||A_k||: the
     vectors A^j psi for j <= m, weighted by 1/j! in one product.
-    `matvec(a, b)` is the action v -> (a H_i + b H_p) v."""
+    `matvec(a, b)` is the action (v, out) -> out = (a H_i + b H_p) v; it is
+    taken once per step, before that step's first use."""
     substeps = np.maximum(1.0, np.ceil(x / _TAYLOR_MAX_NORM))
     sub_dt = dt / substeps
     degrees = _taylor_degrees(x / substeps)
     inv_factorial = 1.0 / np.cumprod(np.maximum(1.0, np.arange(degrees.max() + 1)))
     krylov = np.empty((inv_factorial.size, amps.size), dtype=complex)
+    rows = list(krylov)
     ops = map(matvec, (-1j * sub_dt * (1.0 - g)).tolist(), (-1j * sub_dt * g).tolist())
     for m, s, op in zip(degrees.tolist(), substeps.astype(int).tolist(), ops):
         for _ in range(s):
             krylov[0] = amps
             for j in range(1, m + 1):
-                krylov[j] = op(krylov[j - 1])
+                op(rows[j - 1], rows[j])
             amps = inv_factorial[: m + 1] @ krylov[: m + 1]
         yield amps
 
@@ -446,9 +449,11 @@ def evolve_schedule(
     * Taylor: exp(-i H_k dt) psi as a series on the vector, of the degree
       at which the tail bound from ||H_k|| <= |1-g| B_i + |g| B_p (B: the
       sum over X-mask groups of max|diag|) falls below 1e-16; a step with
-      dt*||H_k|| over 4 runs as ceil(dt*||H_k|| / 4) substeps.  H_k is one
-      dense matrix per step up to d = 128, and two compiled applies above,
-      where nothing of size d x d is held.  Memory does not grow with `steps`.
+      dt*||H_k|| over 4 runs as ceil(dt*||H_k|| / 4) substeps, and a call
+      whose steps may need over 1000 raises ValidationError.  H_k is one
+      dense matrix up to d = 128, rebuilt in place each step, and two
+      compiled applies above, where nothing of size d x d is held.  Memory
+      does not grow with `steps`.
     """
     _check_tau(tau)
     if steps < 1:
@@ -460,15 +465,20 @@ def evolve_schedule(
         raise CapacityError(f"evolution on {n} qubits exceeds limit {MAX_DENSE_QUBITS}")
     if not (h_i.is_hermitian() and h_p.is_hermitian()):
         raise ValidationError("evolution requires Hermitian Hamiltonians")
+    b_i, b_p = _norm_bound(h_i), _norm_bound(h_p)
+    _check_step_bound(n, tau, steps, max(b_i, b_p))
     d = 1 << n
     dt = tau / steps
     if d > _DENSE_MAX_DIM:
         ci, cp = h_i.compiled, h_p.compiled
-        matvec = lambda a, b: lambda v: a * ci.apply(v) + b * cp.apply(v)
+        matvec = lambda a, b: lambda v, out: np.add(a * ci.apply(v), b * cp.apply(v), out=out)
     else:
         mi, mp = h_i.to_matrix(), h_p.to_matrix()
-        matvec = lambda a, b: (a * mi + b * mp).__matmul__
-    b_i, b_p = _norm_bound(h_i), _norm_bound(h_p)
+        hk, part = np.empty_like(mi), np.empty_like(mp)
+
+        def matvec(a, b):  # H_k is rebuilt in place, in buffers made once per call
+            np.add(np.multiply(a, mi, out=hk), np.multiply(b, mp, out=part), out=hk)
+            return lambda v, out: np.dot(hk, v, out=out)
     amps = s0.amplitudes.copy()
     for lo in range(0, steps, _CHUNK_STEPS):
         t_mid = (np.arange(lo, min(lo + _CHUNK_STEPS, steps)) + 0.5) * dt

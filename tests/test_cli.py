@@ -890,7 +890,7 @@ class TestFailClosed:
     @pytest.mark.parametrize("steps", [1, 9_999])
     def test_overlong_annealing_steps(self, tmp_path, steps):
         # At 4 qubits the series splits a step into ceil(dt*||H|| / 4)
-        # substeps of about 70 us each; tau = 1e7 in one step ran for minutes.
+        # substeps of 22-28 us each; tau = 1e7 in one step ran for minutes.
         # Here ||H|| <= 4, so fewer than 10_000 steps over 1000 substeps each.
         def sum_of(letter, coeffs):
             terms = [

@@ -5,6 +5,8 @@ than reusing the library's own kron helper, so a sign or ordering bug
 in the bitmask algebra cannot hide behind itself.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,15 @@ class TestPauliString:
         b = PauliString.from_masks(2, a.x_mask, a.z_mask)
         assert a == b and hash(a) == hash(b)
         assert a != PauliString("YX")
+
+    def test_cached_hash_keeps_its_value(self):
+        # Dict and cache lookups see the same hash as before it was cached.
+        _, product = multiply(PauliString("XYZ"), PauliString("ZZI"))
+        pickled = pickle.loads(pickle.dumps(PauliString("IXY")))
+        made = [PauliString("XIZY"), PauliString.from_masks(3, 5, 6), product, pickled,
+                PauliString.from_ops(4, {0: "Y", 3: "X"}), PauliString.identity(2)]
+        for s in made:
+            assert hash(s) == hash((s.n_qubits, s.x_mask, s.z_mask))
 
     def test_to_matrix_is_dense_kron(self):
         rng = np.random.default_rng(11)

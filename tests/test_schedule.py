@@ -17,6 +17,7 @@ from vqekit import (
     spectrum_along_path,
     success_probability,
 )
+from vqekit import schedule
 from vqekit.errors import ValidationError
 from vqekit.optimize import nelder_mead
 from vqekit.schedule import baseline_record, make_schedule
@@ -293,3 +294,24 @@ class TestPathStudy:
             assert opt.family == "spline"
             assert base.tau == opt.tau
             assert opt.success >= base.success
+
+    def test_endpoints_solved_once_per_study(self, monkeypatch):
+        h_i, h_p = one_qubit_pair()
+        calls = []
+        real = schedule._endpoints
+        monkeypatch.setattr(schedule, "_endpoints", lambda *a: calls.append(a) or real(*a))
+        res = path_study(h_i, h_p, [2.0, 3.0, 4.0])
+        assert len(calls) == 1
+        # Each record is the one the public per-tau calls give, to the bit.
+        for base, opt in zip(res.records[0::2], res.records[1::2]):
+            for got, want in (base, baseline_record(h_i, h_p, base.tau)), (
+                opt, optimize_path("spline", h_i, h_p, opt.tau)
+            ):
+                assert (got.params, got.success, got.evaluations) == (
+                    want.params, want.success, want.evaluations
+                )
+                assert got.trajectory_overlap.tobytes() == want.trajectory_overlap.tobytes()
+        # No tau, no eigensolve: a degenerate target is not reached.
+        calls.clear()
+        assert path_study(h_i, PauliSum.hermitian([(1.0, "I")]), []).records == ()
+        assert calls == []

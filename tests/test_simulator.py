@@ -21,6 +21,7 @@ from vqekit import (
     PauliString,
     PauliSum,
     ReferenceState,
+    Schedule,
     StateVector,
     apply_pauli_exponential,
     apply_pauli_string,
@@ -1021,6 +1022,20 @@ class TestEvolveKernels:
         evolve_schedule(s0, sched, h_i, h_p, 1e-3 * steps, steps=steps)
         assert calls == [simulator._CHUNK_STEPS, 3]
 
+    def test_library_call_refuses_overlong_steps(self):
+        # The CLI refuses these at load.  A library call used to run them:
+        # 10,000 series substeps at tau = 1e4 and minutes at tau = 1e7.
+        rng = np.random.default_rng(48)
+        sched = _FnSchedule(lambda t: np.full_like(t, 0.5))
+        s4 = StateVector.from_label("0000")
+        h_i, h_p = ising_pair(4, rng)
+        for tau in (1e4, 1e7):
+            with wall_budget(0.5), pytest.raises(ValidationError, match="series substeps"):
+                evolve_schedule(s4, sched, h_i, h_p, tau, steps=1)
+        # Below d = 16 a step is one eigendecomposition, whatever its length.
+        out = evolve_schedule(StateVector.from_label("000"), sched, *ising_pair(3, rng), 1e7, 1)
+        assert out.norm() == pytest.approx(1.0)
+
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_callback_leaves_final_state_bit_identical(self, n):
         rng = np.random.default_rng(50 + n)
@@ -1072,3 +1087,99 @@ class TestEvolveKernels:
             for steps in (20_000, 400_000)
         ]
         assert peak_kb[1] - peak_kb[0] < 10 * 1024, peak_kb
+
+
+def earlier_taylor_steps(amps, g, dt, x, matvec):
+    """The Taylor kernel as it was before it ran in place, kept verbatim:
+    a fresh H_k per step, and each A^j psi copied out of a fresh product."""
+    substeps = np.maximum(1.0, np.ceil(x / simulator._TAYLOR_MAX_NORM))
+    sub_dt = dt / substeps
+    degrees = simulator._taylor_degrees(x / substeps)
+    inv_factorial = 1.0 / np.cumprod(np.maximum(1.0, np.arange(degrees.max() + 1)))
+    krylov = np.empty((inv_factorial.size, amps.size), dtype=complex)
+    ops = map(matvec, (-1j * sub_dt * (1.0 - g)).tolist(), (-1j * sub_dt * g).tolist())
+    for m, s, op in zip(degrees.tolist(), substeps.astype(int).tolist(), ops):
+        for _ in range(s):
+            krylov[0] = amps
+            for j in range(1, m + 1):
+                krylov[j] = op(krylov[j - 1])
+            amps = inv_factorial[: m + 1] @ krylov[: m + 1]
+        yield amps
+
+
+def earlier_taylor_states(s0, sched, h_i, h_p, tau, steps, compiled=False):
+    """(every state the earlier kernel yields, every step's bound x), on the
+    chunks of `evolve_schedule`, with the earlier matvec closures."""
+    if compiled:
+        ci, cp = h_i.compiled, h_p.compiled
+        matvec = lambda a, b: lambda v: a * ci.apply(v) + b * cp.apply(v)
+    else:
+        mi, mp = h_i.to_matrix(), h_p.to_matrix()
+        matvec = lambda a, b: (a * mi + b * mp).__matmul__
+    b_i, b_p = simulator._norm_bound(h_i), simulator._norm_bound(h_p)
+    dt = tau / steps
+    states, xs = [s0.amplitudes.copy()], []
+    for lo in range(0, steps, simulator._CHUNK_STEPS):
+        t_mid = (np.arange(lo, min(lo + simulator._CHUNK_STEPS, steps)) + 0.5) * dt
+        g = np.asarray(sched.evaluate(t_mid), dtype=float)
+        xs.append(dt * (np.abs(1.0 - g) * b_i + np.abs(g) * b_p))
+        states += earlier_taylor_steps(states[-1], g, dt, xs[-1], matvec)
+    return states[1:], np.concatenate(xs)
+
+
+class TestTaylorKernelOracle:
+    """Every state the Taylor kernel yields equals the earlier kernel's
+    byte for byte, at each dense dimension d = 16..128: the in-place H_k
+    and the BLAS-written Krylov rows change no operand and no order."""
+
+    CASES = {
+        "long_step": (25.0, 1),  # one step of many substeps
+        "degrees_change": (6.0, 40),  # x_k crosses degree boundaries
+        "two_chunks": (1e-3 * (simulator._CHUNK_STEPS + 3), simulator._CHUNK_STEPS + 3),
+    }
+
+    @staticmethod
+    def schedule(family, tau):
+        if family == "linear":
+            return Schedule.linear(tau)
+        if family == "spline":
+            return Schedule.spline(tau, 0.3, 0.8)
+        return Schedule.bang_bang(tau, (0.3 * tau, 0.55 * tau))
+
+    def check(self, n, family, case):
+        tau, steps = self.CASES[case]
+        rng = np.random.default_rng(70 + n)
+        h_i, h_p = ising_pair(n, rng)
+        s0 = random_state(rng, n)
+        sched = self.schedule(family, tau)
+        want, x = earlier_taylor_states(
+            s0, sched, h_i, h_p, tau, steps, compiled=1 << n > simulator._DENSE_MAX_DIM
+        )
+        substeps = np.maximum(1.0, np.ceil(x / simulator._TAYLOR_MAX_NORM))
+        degrees = simulator._taylor_degrees(x / substeps)
+        if case == "long_step":
+            assert substeps[0] > 1
+        elif case == "degrees_change":
+            assert len(set(degrees.tolist())) > 1
+        seen = []
+        watched = evolve_schedule(
+            s0, sched, h_i, h_p, tau, steps, callback=lambda t, st: seen.append(st.amplitudes)
+        )
+        plain = evolve_schedule(s0, sched, h_i, h_p, tau, steps)
+        assert len(seen) == len(want) == steps
+        differ = [k for k, (a, b) in enumerate(zip(seen, want)) if a.tobytes() != b.tobytes()]
+        assert not differ, f"{len(differ)} states differ, the first after step {differ[0] + 1}"
+        assert watched.amplitudes.tobytes() == want[-1].tobytes()
+        assert plain.amplitudes.tobytes() == want[-1].tobytes()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("family", ["linear", "spline", "bang_bang"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_dense_states_match_bytewise(self, n, family, case):
+        assert simulator._TAYLOR_MIN_DIM <= 1 << n <= simulator._DENSE_MAX_DIM
+        self.check(n, family, case)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_compiled_states_match_bytewise(self, case, monkeypatch):
+        monkeypatch.setattr(simulator, "_DENSE_MAX_DIM", 0)
+        self.check(4, "spline", case)
