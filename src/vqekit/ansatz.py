@@ -120,7 +120,7 @@ class ReferenceState:
         for q in range(self.n_qubits - 1, -1, -1):
             c0, c1 = self.qubit_pairs[q]
             amps = np.kron(amps, np.array([c0, c1], dtype=complex))
-        return StateVector(amps, copy=False)
+        return StateVector(amps)
 
 
 def spin_cluster_generators(n_qubits: int, order: int) -> GeneratorSet:

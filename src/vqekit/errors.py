@@ -10,7 +10,8 @@ class DimensionError(VqekitError):
 
 
 class CapacityError(VqekitError):
-    """A dense-matrix request exceeds the configured qubit limit."""
+    """A request exceeds a size limit: dense matrices past the qubit limit,
+    or an estimate past its preparation limit."""
 
 
 class ValidationError(VqekitError):

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import CapacityError, ParameterError, ValidationError
 from .pauli import PauliSum, _first_anticommuting_pair, commutes
 from .simulator import (
     GroupSampler,
@@ -50,6 +50,9 @@ BATCH_SIZE = 100
 # Shots in the largest single draw of a group's sampler: whole batches.
 MAX_BLOCK = 64_000
 PILOT_SHOTS = 500
+# Expected preparations G * sum_g Var[Q_g] / eps^2 above which an estimate is
+# refused before its first shot: an epsilon such as 1e-9 asks for about 1e18.
+MAX_PREPARATIONS = 10**9
 # Grid points of a discretized posterior density.
 DENSITY_POINTS = 1025
 
@@ -131,12 +134,7 @@ def exact_covariances(h: PauliSum, state: StateVector) -> np.ndarray:
         phis[i] = phi
         means[i] = float(np.real(np.vdot(state.amplitudes, phi)))
     cross = np.real(phis.conj() @ phis.T)
-    cov = cross - np.outer(means, means)
-    for i, t in enumerate(h.terms):
-        if t.string.is_identity():
-            cov[i, :] = 0.0
-            cov[:, i] = 0.0
-    return cov
+    return cross - np.outer(means, means)
 
 
 def pilot_covariances(prep, h: PauliSum, rng: np.random.Generator) -> np.ndarray:
@@ -324,19 +322,27 @@ def _rewind(rng, state, variates: int) -> None:
         bitgen.state = {**bitgen.state, "has_uint32": 1, "uinteger": state["uinteger"]}
 
 
-def _first_block(table, probabilities, target: float, floor: int) -> int:
+def _group_values(sampler, coeffs) -> tuple[np.ndarray, float]:
+    """(table, Var[q]) of the group's sum q = sum_i c_i o_i: table[b] is q in
+    outcome pattern b, and Var[q] is exact, from the pattern probabilities."""
+    table = (sampler.outcome_table * coeffs).sum(axis=1)
+    mean = sampler.probabilities @ table
+    return table, float(sampler.probabilities @ (table - mean) ** 2)
+
+
+def _first_block(var: float, target: float, floor: int) -> int:
     """Shots of a group's first block: its expected stop Var[q]/target,
     20% over, in whole batches, at least `floor` and one batch, at most
-    MAX_BLOCK.  Var[q] is exact, from the pattern probabilities."""
-    mean = probabilities @ table
-    var = 1.2 * float(probabilities @ (table - mean) ** 2)
+    MAX_BLOCK."""
+    var = 1.2 * var
     if var >= target * MAX_BLOCK:  # also a target that underflowed to 0
         return MAX_BLOCK
     return max(floor, BATCH_SIZE, BATCH_SIZE * math.ceil(var / (target * BATCH_SIZE)))
 
 
-def _measure_group(sampler, coeffs, target, rng, mode: str):
-    """(shots, mean, estimator variance) of the group's sum Q = sum_i c_i o_i.
+def _measure_group(sampler, coeffs, table, var: float, target, rng, mode: str):
+    """(shots, mean, estimator variance) of the group's sum Q = sum_i c_i o_i,
+    from its `_group_values` (table, var).
 
     Each block's shot values x = q - c go into BATCH_SIZE-shot sums of x
     and x^2, which are added one batch after another, so a check sees the
@@ -353,7 +359,6 @@ def _measure_group(sampler, coeffs, target, rng, mode: str):
     The posterior needs only n, S1 and S2, and co-measured terms keep their
     covariance.  Under the prior, E[q] = 0 and E[q^2] = sum c_i^2.
     """
-    table = (sampler.outcome_table * coeffs).sum(axis=1)
     frequentist = mode == "frequentist"
     if frequentist:
         floor = MIN_SHOT_FLOOR
@@ -371,7 +376,7 @@ def _measure_group(sampler, coeffs, target, rng, mode: str):
         if moments(0, 0.0, 0.0)[1] < target:
             return (0, *moments(0, 0.0, 0.0))
     n, s1, s2 = 0, 0.0, 0.0
-    first = _first_block(table, sampler.probabilities, target, floor)
+    first = _first_block(var, target, floor)
     for state, block in _blocks(sampler, rng, first):
         if n == 0:
             shift = table[block[0]] if frequentist else 0.0
@@ -415,10 +420,13 @@ def estimate_expectation(
     """Measure each group until its estimator variance clears eps^2 / G.
 
     prep is called once, after validation, and must return the state to
-    measure; every preparation of every group samples that state.  The
-    identity component of h is added analytically.  credible_level, which
-    only Bayesian mode takes, attaches a credible interval for the total;
-    with no group to sample it is the point (identity, identity).
+    measure; every preparation of every group samples that state.  Before
+    the first shot every group's exact Var[Q_g] is known, and a plan whose
+    expected preparations G * sum_g Var[Q_g] / eps^2 exceed MAX_PREPARATIONS
+    raises CapacityError.  The identity component of h is added
+    analytically.  credible_level, which only Bayesian mode takes, attaches
+    a credible interval for the total; with no group to sample it is the
+    point (identity, identity).
     """
     _check_epsilon(epsilon)
     if mode not in ("frequentist", "bayesian"):
@@ -432,16 +440,27 @@ def estimate_expectation(
     if rng is None:
         raise ValidationError("an explicit rng is required for reproducibility")
     plan.validate_against(h)
+    if not h.is_hermitian():
+        raise ValidationError("expectation requires a Hermitian sum")
     state = prep()
     identity = float(np.real(h.identity_part()))
 
-    reports = []
-    densities = []
+    groups = []  # (sampler, coeffs, table, Var[q]) per group
     for g in plan.groups:
         sampler = GroupSampler(state, [h.terms[i].string for i in g])
         coeffs = np.array([float(np.real(h.terms[i].coeff)) for i in g])
+        groups.append((sampler, coeffs, *_group_values(sampler, coeffs)))
+    n_exp = len(groups) * sum(var for *_, var in groups) / (epsilon * epsilon)
+    if n_exp > MAX_PREPARATIONS:
+        raise CapacityError(
+            f"the plan expects {n_exp:g} preparations, over the limit of {MAX_PREPARATIONS:g}"
+        )
+
+    reports = []
+    densities = []
+    for g, (sampler, coeffs, table, group_var) in zip(plan.groups, groups):
         target = epsilon * epsilon / len(plan.groups)
-        n, value, var = _measure_group(sampler, coeffs, target, rng, mode)
+        n, value, var = _measure_group(sampler, coeffs, table, group_var, target, rng, mode)
         reports.append(
             GroupReport(indices=g, value=value, estimator_variance=var, preparations=n)
         )

@@ -19,8 +19,10 @@ from .errors import ValidationError
 from .pauli import PauliSum
 from .simulator import (
     StateVector,
+    _check_step_bound,
     _check_tau,
     _expectation,
+    _norm_bound,
     evolve_schedule,
     exact_eigensystem,
     ground_state,
@@ -168,7 +170,7 @@ def _endpoints(h_i: PauliSum, h_p: PauliSum) -> tuple[StateVector, StateVector]:
     vals, vecs = exact_eigensystem(h_p)
     if vals.size > 1 and vals[1] - vals[0] <= 1e-8:
         raise ValidationError("target ground state is degenerate")
-    target = StateVector(vecs[:, 0], copy=True)
+    target = StateVector(vecs[:, 0])
     return ground_state(h_i)[1], target
 
 
@@ -309,9 +311,17 @@ def path_study(
     n_switches: int = 2,
 ) -> PathStudyResult:
     """Linear baseline plus optimized-family record at every tau; the
-    endpoint eigensolves run once for the whole study."""
+    endpoint eigensolves run once for the whole study, after every tau is
+    checked against the step limit of `evolve_schedule`."""
+    if h_i.n_qubits != h_p.n_qubits:
+        raise ValidationError("Hamiltonians act on different qubit counts")
+    taus = [float(t) for t in taus]
+    bound = max(_norm_bound(h_i), _norm_bound(h_p))
+    for tau in taus:
+        _check_tau(tau)
+        _check_step_bound(h_i.n_qubits, tau, steps or _default_steps(tau), bound)
     records, ends = [], ()
-    for tau in map(float, taus):
+    for tau in taus:
         ends = ends or _endpoints(h_i, h_p)
         records.append(_baseline(h_i, h_p, tau, steps, ends))
         records.append(

@@ -46,8 +46,8 @@ class StateVector:
 
     __slots__ = ("n_qubits", "amplitudes")
 
-    def __init__(self, amplitudes: np.ndarray, copy: bool = True):
-        amps = np.array(amplitudes, dtype=complex, copy=copy).ravel()
+    def __init__(self, amplitudes: np.ndarray):
+        amps = np.array(amplitudes, dtype=complex).ravel()
         n = int(amps.size).bit_length() - 1
         if amps.size != (1 << n) or amps.size < 2:
             raise ValidationError(f"amplitude count {amps.size} is not a power of two")
@@ -82,7 +82,7 @@ class StateVector:
         return cls.basis(len(label), int(label, 2))
 
     def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes, copy=True)
+        return StateVector(self.amplitudes)
 
     def overlap(self, other: "StateVector") -> complex:
         if self.n_qubits != other.n_qubits:
@@ -170,7 +170,7 @@ def exact_eigensystem(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
 
 def ground_state(h: PauliSum) -> tuple[float, StateVector]:
     vals, vecs = exact_eigensystem(h)
-    return float(vals[0]), StateVector(vecs[:, 0], copy=True)
+    return float(vals[0]), StateVector(vecs[:, 0])
 
 
 def _conjugate(x: list[int], z: list[int], gates) -> int:
@@ -441,13 +441,14 @@ def evolve_schedule(
     is O((tau/steps)^2).  `callback(t, state)`, if given, is invoked after
     every step, and does not change the final state by a bit.
 
-    Steps run in chunks of 2048, each of which evaluates g at its midpoints.
-    The kernel depends on d = 2^n alone, and both are exact to rounding:
+    Steps run in chunks of 2048, each of which evaluates g at its midpoints;
+    a value outside [0, 1], NaN included, raises ValidationError.  The
+    kernel depends on d = 2^n alone, and both are exact to rounding:
 
     * eigh (d < 16): one stacked eigendecomposition per chunk gives every
       step's propagator V e^(-iW dt) V^+, and a step is one matvec.
     * Taylor: exp(-i H_k dt) psi as a series on the vector, of the degree
-      at which the tail bound from ||H_k|| <= |1-g| B_i + |g| B_p (B: the
+      at which the tail bound from ||H_k|| <= (1-g) B_i + g B_p (B: the
       sum over X-mask groups of max|diag|) falls below 1e-16; a step with
       dt*||H_k|| over 4 runs as ceil(dt*||H_k|| / 4) substeps, and a call
       whose steps may need over 1000 raises ValidationError.  H_k is one
@@ -485,12 +486,12 @@ def evolve_schedule(
         g = np.asarray(sched.evaluate(t_mid), dtype=float)
         if g.shape != t_mid.shape:
             raise ValidationError("schedule must evaluate an array of times elementwise")
-        if not np.isfinite(g).all():
-            raise ValidationError("schedule values must be finite")
+        if not ((g >= 0.0) & (g <= 1.0)).all():  # NaN fails too
+            raise ValidationError("schedule values must be finite and lie in [0, 1]")
         if d < _TAYLOR_MIN_DIM:
             states = _eigh_steps(amps, g, dt, mi, mp)
         else:
-            x = dt * (np.abs(1.0 - g) * b_i + np.abs(g) * b_p)
+            x = dt * ((1.0 - g) * b_i + g * b_p)
             states = _taylor_steps(amps, g, dt, x, matvec)
         for k, amps in enumerate(states, start=lo + 1):
             if callback is not None:

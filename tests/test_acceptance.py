@@ -16,7 +16,7 @@ from scipy.stats import unitary_group
 
 import vqekit as vk
 from vqekit import FermionOperator, commutator
-from vqekit.estimate import _measure_group
+from vqekit.estimate import _group_values, _measure_group
 
 from conftest import wall_budget
 from test_fermion import T, dense_of, two_body_commutator_reference
@@ -166,7 +166,9 @@ def group_loop_draws(sampler, coeffs, target, seed):
     """The Bayesian group loop's (n, mean, variance), with the counts of
     each joint outcome pattern among its n shots, recovered by drawing the
     same n shots again from the same seed."""
-    n, mean, var = _measure_group(sampler, coeffs, target, vk.make_rng(seed), "bayesian")
+    n, mean, var = _measure_group(
+        sampler, coeffs, *_group_values(sampler, coeffs), target, vk.make_rng(seed), "bayesian"
+    )
     codes = sampler.draw(vk.make_rng(seed), n)
     return n, mean, var, np.bincount(codes, minlength=len(sampler.outcome_table))
 

@@ -794,12 +794,12 @@ class TestFailClosed:
             (
                 "estimate",
                 {"hamiltonian": TWOSPIN, "state": {"label": "01"}, "epsilon": 1e-9, "seed": 1},
-                "plan auto expects 6e+18 preparations, over the limit of 1e+09",
+                "the plan expects 6e+18 preparations, over the limit of 1e+09",
             ),
             (
                 "vqe",
                 {**UCC_2Q, "estimator": {"mode": "frequentist", "epsilon": 1e-9}},
-                "the first evaluation expects 6e+18 preparations, over the limit of 1e+09",
+                "the plan expects 6e+18 preparations, over the limit of 1e+09",
             ),
             # The reference |00> of a diagonal sum has zero variance, so the
             # first evaluation passes the cap; this run used not to end.
@@ -820,7 +820,7 @@ class TestFailClosed:
                     "estimator": {"mode": "frequentist", "epsilon": 1e-9},
                     "seed": 1,
                 },
-                "estimator: evaluation 2 expects 6.3787e+15 preparations, over the limit of 1e+09",
+                "the plan expects 6.3787e+15 preparations, over the limit of 1e+09",
             ),
         ],
     )

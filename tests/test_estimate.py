@@ -39,16 +39,18 @@ from vqekit import (
 from vqekit.estimate import (
     BATCH_SIZE,
     MAX_BLOCK,
+    MAX_PREPARATIONS,
     MIN_SHOT_FLOOR,
     PosteriorDensity,
     _fft_length,
+    _group_values,
     _measurable_indices,
     _measure_group,
     _rewind,
     beta_density,
     format_plan,
 )
-from vqekit.errors import ParameterError, ValidationError
+from vqekit.errors import CapacityError, ParameterError, ValidationError
 
 from conftest import wall_budget
 from test_fermion import random_integrals
@@ -408,6 +410,19 @@ class TestEstimateExpectation:
             expected_preparations(plan, state01, twospin, epsilon=eps)
         assert rng.bit_generator.state == before
 
+    def test_non_hermitian_sum_is_refused_before_sampling(self):
+        # The real part of 1j Z + 0.5 X used to be measured in silence.
+        h = PauliSum.from_terms([(1j, "Z"), (0.5, "X")])
+        plan = MeasurementPlan(groups=((0,), (1,)))
+        rng = make_rng(5)
+
+        def prep():
+            raise AssertionError("sampling started")
+
+        with pytest.raises(ValidationError, match="expectation requires a Hermitian sum"):
+            estimate_expectation(prep, h, plan, epsilon=0.1, rng=rng)
+        assert rng.random() == make_rng(5).random()  # no variate drawn
+
     def test_frequentist_run(self, twospin, state01):
         plan = MeasurementPlan(groups=((0,), (1, 2), (3, 4)))
         rng = np.random.default_rng(23)
@@ -636,6 +651,53 @@ class TestEstimateExpectation:
         assert d["groups"][0]["indices"] == [0, 1, 2]
 
 
+class TestPreparationCap:
+    """A plan whose expected preparations G * sum_g Var[Q_g] / eps^2 exceed
+    MAX_PREPARATIONS is refused before its first shot, from the group
+    variances that the group loop then uses."""
+
+    def test_tiny_epsilon_is_refused_before_the_first_shot(self, twospin, state01):
+        # 3 groups whose variances sum to 2 on |01>: 6e+18 preparations at 1e-9.
+        plan = build_groups(twospin, exact_covariances(twospin, state01))
+        rng = make_rng(8)
+        calls = []
+
+        def prep():
+            calls.append(1)
+            return state01
+
+        with wall_budget(0.5):
+            with pytest.raises(
+                CapacityError,
+                match=r"the plan expects 6e\+18 preparations, over the limit of 1e\+09",
+            ):
+                estimate_expectation(prep, twospin, plan, epsilon=1e-9, rng=rng)
+        assert len(calls) == 1
+        assert rng.random() == make_rng(8).random()  # no variate drawn
+        assert expected_preparations(plan, state01, twospin, 1e-9) > MAX_PREPARATIONS
+
+    def test_zero_variance_state_passes_at_any_epsilon(self, twospin):
+        # |00> is an eigenstate, and its auto plan measures XX and YY together.
+        state = StateVector.from_label("00")
+        plan = build_groups(twospin, exact_covariances(twospin, state))
+        with wall_budget(0.5):
+            rep = estimate_expectation(lambda: state, twospin, plan, 1e-9, rng=make_rng(8))
+        assert rep.value == 3.0
+        assert [g.preparations for g in rep.groups] == [MIN_SHOT_FLOOR] * len(plan.groups)
+
+    @pytest.mark.parametrize("mode", ["frequentist", "bayesian"])
+    def test_each_group_variance_is_computed_once(self, twospin, state01, mode, monkeypatch):
+        import vqekit.estimate as est
+
+        calls = []
+        monkeypatch.setattr(
+            est, "_group_values", lambda *args: calls.append(1) or _group_values(*args)
+        )
+        plan = MeasurementPlan(groups=((0,), (1, 2), (3, 4)))
+        estimate_expectation(lambda: state01, twospin, plan, 0.1, mode=mode, rng=make_rng(2))
+        assert len(calls) == len(plan.groups)
+
+
 # Reports for the three inputs of the estimate_shots benchmark workload
 # (H2 at fixed angles), with the next variate of the stream after each
 # call.  Every group sums its shots in 100-shot batches; a frequentist mean
@@ -745,9 +807,10 @@ class TestPinnedReports:
         assert len(calls) == 2
 
 
-def one_batch_group(sampler, coeffs, target, rng, mode):
+def one_batch_group(sampler, coeffs, _table, _var, target, rng, mode):
     """The group loop with one BATCH_SIZE draw per check, each batch's sums
-    added to the running totals as soon as it is drawn."""
+    added to the running totals as soon as it is drawn.  It builds its own
+    table and needs no variance."""
     table = (sampler.outcome_table * coeffs).sum(axis=1)
     prior_sq = 2.0 * float(np.sum(coeffs * coeffs))
     frequentist = mode == "frequentist"
@@ -964,7 +1027,8 @@ class TestGroupLoop:
                 sampler = GroupSampler(state, [h.terms[i].string for i in g])
                 coeffs = np.array([h.terms[i].coeff.real for i in g])
                 n, mean, var = _measure_group(
-                    sampler, coeffs, v / 1.2e5, make_rng(k), "frequentist"
+                    sampler, coeffs, *_group_values(sampler, coeffs), v / 1.2e5,
+                    make_rng(k), "frequentist",
                 )
                 assert n >= 100_000
                 table = (sampler.outcome_table * coeffs).sum(axis=1).tolist()

@@ -315,3 +315,17 @@ class TestPathStudy:
         calls.clear()
         assert path_study(h_i, PauliSum.hermitian([(1.0, "I")]), []).records == ()
         assert calls == []
+
+    def test_overlong_tau_is_refused_before_any_eigensolve(self, monkeypatch):
+        # At 4 qubits the series would split each of the 2e8 default steps
+        # of tau = 1e7 into substeps; the study refuses it up front.
+        x = [(-1.0, "".join("X" if j == q else "I" for j in range(4))) for q in range(4)]
+        z = [(0.1 * (q + 1), "".join("Z" if j == q else "I" for j in range(4))) for q in range(4)]
+        calls = []
+        monkeypatch.setattr(schedule, "_endpoints", lambda *a: calls.append(a))
+        h_i, h_p = PauliSum.hermitian(x), PauliSum.hermitian(z)
+        with pytest.raises(ValidationError, match="tau 10000000.0 in 1 steps"):
+            path_study(h_i, h_p, [5.0, 1e7], steps=1)
+        with pytest.raises(ValidationError, match="Hamiltonians act on different qubit counts"):
+            path_study(h_i, PauliSum.hermitian([(1.0, "Z")]), [5.0])
+        assert calls == []

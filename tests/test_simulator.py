@@ -88,6 +88,13 @@ class TestStateVector:
         with pytest.raises(ValidationError):
             StateVector(np.array([0.9, 0.0]))
 
+    def test_amplitudes_are_always_copied(self):
+        for amps in (np.array([1.0, 0.0]), np.array([1.0, 0.0], dtype=complex)):
+            s = StateVector(amps)
+            amps[:] = 0.0
+            assert s.amplitudes.tolist() == [1.0, 0.0]
+            assert s.amplitudes.dtype == complex
+
     def test_bad_labels(self):
         for label in ("", "02", "1x"):
             with pytest.raises(ValidationError):
@@ -915,6 +922,15 @@ class TestEvolveSchedule:
                 evolve_schedule(s2, sched, *two_qubit_pair(), 1.0, steps=4)
             with pytest.raises(ValidationError, match="finite"):
                 evolve_schedule(s4, sched, h_i4, h_p4, 1.0, steps=4)
+
+    @pytest.mark.parametrize("value", [5000.0, -0.1])
+    def test_schedule_values_outside_unit_interval(self, value):
+        # The substep cap bounds dt*||H_k|| for g in [0, 1] only: g = 5000
+        # in one step of tau = 1 used to run 6999 substeps.
+        h_i, h_p = ising_pair(4, np.random.default_rng(2))
+        sched = _FnSchedule(lambda t: np.full_like(t, value))
+        with wall_budget(0.5), pytest.raises(ValidationError, match=r"lie in \[0, 1\]"):
+            evolve_schedule(StateVector.from_label("0000"), sched, h_i, h_p, 1.0, steps=1)
 
 
 def ising_pair(n, rng):
