@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidationError
-from .fermion import FermionOperator, jordan_wigner
+from .fermion import FermionOperator, _jordan_wigner_all
 from .pauli import PauliString, PauliSum
 from .simulator import StateVector
 
@@ -165,21 +165,16 @@ def fermionic_ucc_generators(
     if order not in (1, 2):
         raise ValidationError("fermionic UCC supports orders 1 and 2")
     singles = [(i, p) for i in sorted(occ) for p in sorted(virt)]
-    gens: list[PauliSum] = []
-    labels: list[tuple] = []
-    for i, p in singles:
-        ex = FermionOperator.from_term(n_modes, 1.0, [(i, True), (p, False)])
-        gens.append(jordan_wigner(ex - ex.hermitian_conjugate()))
-        labels.append(("t1", (i, p)))
+    ladders = [[(i, True), (p, False)] for i, p in singles]
+    labels: list[tuple] = [("t1", s) for s in singles]
     if order == 2:
         for (i1, p1), (i2, p2) in itertools.combinations(singles, 2):
             if i1 == i2 or p1 == p2:
                 continue
-            ex = FermionOperator.from_term(
-                n_modes, 1.0, [(i1, True), (p1, False), (i2, True), (p2, False)]
-            )
-            gens.append(jordan_wigner(ex - ex.hermitian_conjugate()))
+            ladders.append([(i1, True), (p1, False), (i2, True), (p2, False)])
             labels.append(("t2", (i1, p1), (i2, p2)))
+    exs = [FermionOperator.from_term(n_modes, 1.0, ops) for ops in ladders]
+    gens = _jordan_wigner_all([ex - ex.hermitian_conjugate() for ex in exs])
     return GeneratorSet(n_qubits=n_modes, generators=tuple(gens), labels=tuple(labels))
 
 
@@ -207,7 +202,7 @@ def suquca_generators(n_modes: int, order: int = 1) -> GeneratorSet:
     if not 1 <= order <= n_modes:
         raise ValidationError(f"order must be in 1..{n_modes}")
     blocks = _suquca_blocks(n_modes)
-    gens: list[PauliSum] = []
+    products: list[FermionOperator] = []
     labels: list[tuple] = []
     for k in range(1, order + 1):
         for combo in itertools.combinations(range(len(blocks)), k):
@@ -218,8 +213,9 @@ def suquca_generators(n_modes: int, order: int = 1) -> GeneratorSet:
             prod = FermionOperator.identity(n_modes)
             for b in combo:
                 prod = prod * blocks[b][1]
-            gens.append(jordan_wigner(1j * prod))
+            products.append(1j * prod)
             labels.append(tuple(blocks[b][0] for b in combo))
+    gens = _jordan_wigner_all(products)
     return GeneratorSet(n_qubits=n_modes, generators=tuple(gens), labels=tuple(labels))
 
 

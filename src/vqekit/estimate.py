@@ -421,9 +421,10 @@ def estimate_expectation(
 
     prep is called once, after validation, and must return the state to
     measure; every preparation of every group samples that state.  Before
-    the first shot every group's exact Var[Q_g] is known, and a plan whose
-    expected preparations G * sum_g Var[Q_g] / eps^2 exceed MAX_PREPARATIONS
-    raises CapacityError.  The identity component of h is added
+    the first shot every group's exact Var[Q_g] and E[Q_g] are known, and a
+    plan whose expected preparations exceed MAX_PREPARATIONS raises
+    CapacityError: G Var[Q_g] / eps^2 per group, in Bayesian mode at least
+    sqrt(G (2 sum c^2 + 2 E[Q_g]^2)) / eps.  The identity component of h is added
     analytically.  credible_level, which only Bayesian mode takes, attaches
     a credible interval for the total; with no group to sample it is the
     point (identity, identity).
@@ -451,6 +452,10 @@ def estimate_expectation(
         coeffs = np.array([float(np.real(h.terms[i].coeff)) for i in g])
         groups.append((sampler, coeffs, *_group_values(sampler, coeffs)))
     n_exp = len(groups) * sum(var for *_, var in groups) / (epsilon * epsilon)
+    for sampler, coeffs, table, var in groups if mode == "bayesian" else ():
+        prior = 2.0 * float(coeffs @ coeffs) + 2.0 * float(sampler.probabilities @ table) ** 2
+        prior_n = math.sqrt(len(groups) * prior) / epsilon  # the shots of the prior alone
+        n_exp += max(0.0, prior_n - len(groups) * var / (epsilon * epsilon))
     if n_exp > MAX_PREPARATIONS:
         raise CapacityError(
             f"the plan expects {n_exp:g} preparations, over the limit of {MAX_PREPARATIONS:g}"

@@ -13,12 +13,13 @@ The qubit mapping is Jordan-Wigner with mode p on qubit p:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .pauli import PauliSum, _mask_product
+from .pauli import _PHASES, PauliSum
 from .simulator import StateVector
 
 __all__ = [
@@ -38,24 +39,25 @@ __all__ = [
 _COEFF_ATOL = 1e-12
 # is_hermitian, is_zero and equals ignore normal-ordered coefficients this small.
 _OP_ATOL = 1e-10
+# Jordan-Wigner masks are int64 words, kept clear of the sign bit.
+MAX_JW_MODES = 62
+_PHASE_ARRAY = np.array(_PHASES)
+_LADDER_FACTORS = np.array([[0.5 + 0j, 0.5j], [0.5 + 0j, -0.5j]])  # [dagger, X or Y branch]
+
+
+def _kept(terms: dict) -> dict[tuple[int, ...], complex]:
+    """The terms with |c| > 1e-12, each coefficient made complex."""
+    return {ops: complex(c) for ops, c in terms.items() if abs(c) > _COEFF_ATOL}
 
 
 def _op(mode: int, dagger: bool) -> int:
     return (mode << 1) | int(dagger)
 
 
-def _mode(op: int) -> int:
-    return op >> 1
-
-
-def _is_dag(op: int) -> bool:
-    return bool(op & 1)
-
-
 def _format_ops(ops: tuple[int, ...]) -> str:
     if not ops:
         return "1"
-    return " ".join(f"a{_mode(o)}^" if _is_dag(o) else f"a{_mode(o)}" for o in ops)
+    return " ".join(f"a{o >> 1}^" if o & 1 else f"a{o >> 1}" for o in ops)
 
 
 class FermionOperator:
@@ -66,22 +68,25 @@ class FermionOperator:
     def __init__(self, n_modes: int, terms: dict[tuple[int, ...], complex] | None = None):
         if n_modes < 1:
             raise ValidationError("need at least one mode")
+        bad = [o >> 1 for ops in terms or () for o in ops if not 0 <= o >> 1 < n_modes]
+        if bad:
+            raise ValidationError(f"mode {bad[0]} out of range")
         self.n_modes = n_modes
-        self.terms: dict[tuple[int, ...], complex] = {}
-        if terms:
-            for ops, c in terms.items():
-                for o in ops:
-                    if not 0 <= _mode(o) < n_modes:
-                        raise ValidationError(f"mode {_mode(o)} out of range")
-                if abs(c) > _COEFF_ATOL:
-                    self.terms[tuple(ops)] = complex(c)
+        self.terms = _kept(terms or {})
+
+    @classmethod
+    def _unchecked(cls, n_modes: int, terms: dict) -> "FermionOperator":
+        """Algebra on checked operands: no mode check, the same |c| drop."""
+        f = cls.__new__(cls)
+        f.n_modes, f.terms = n_modes, _kept(terms)
+        return f
 
     @classmethod
     def from_term(
         cls, n_modes: int, coeff: complex, ops: list[tuple[int, bool]]
     ) -> "FermionOperator":
         """Single product term; ops are (mode, dagger) pairs, leftmost first."""
-        key = tuple(_op(m, d) for m, d in ops)
+        key = tuple([_op(m, d) for m, d in ops])
         return cls(n_modes, {key: complex(coeff)})
 
     @classmethod
@@ -106,7 +111,7 @@ class FermionOperator:
         out = dict(self.terms)
         for ops, c in other.terms.items():
             out[ops] = out.get(ops, 0.0) + c
-        return FermionOperator(self.n_modes, out)
+        return FermionOperator._unchecked(self.n_modes, out)
 
     def __sub__(self, other: "FermionOperator") -> "FermionOperator":
         return self + (-1.0) * other
@@ -119,8 +124,8 @@ class FermionOperator:
                 for ops_b, cb in other.terms.items():
                     key = ops_a + ops_b
                     out[key] = out.get(key, 0.0) + ca * cb
-            return FermionOperator(self.n_modes, out)
-        return FermionOperator(
+            return FermionOperator._unchecked(self.n_modes, out)
+        return FermionOperator._unchecked(
             self.n_modes, {ops: c * other for ops, c in self.terms.items()}
         )
 
@@ -129,9 +134,9 @@ class FermionOperator:
     def hermitian_conjugate(self) -> "FermionOperator":
         out = {}
         for ops, c in self.terms.items():
-            key = tuple(o ^ 1 for o in reversed(ops))
-            out[key] = np.conj(c)
-        return FermionOperator(self.n_modes, out)
+            key = tuple([o ^ 1 for o in reversed(ops)])
+            out[key] = c.conjugate()
+        return FermionOperator._unchecked(self.n_modes, out)
 
     def normal_order(self) -> "FermionOperator":
         return normal_order(self)
@@ -168,21 +173,20 @@ def normal_order(f: FermionOperator) -> FermionOperator:
         i = max(start, 0)
         dead = False
         while i + 1 <= len(ops) - 1:
-            a, b = ops[i], ops[i + 1]
-            da, db = _is_dag(a), _is_dag(b)
-            if not da and db:
+            a, b = ops[i], ops[i + 1]  # codes mode << 1 | dagger
+            if a & 1 < b & 1:
                 # a_p adag_q = delta_pq - adag_q a_p
-                if _mode(a) == _mode(b):
+                if a >> 1 == b >> 1:
                     contracted = ops[:i] + ops[i + 2 :]
                     stack.append((contracted, coeff, i - 1))
                 ops[i], ops[i + 1] = b, a
                 coeff = -coeff
                 i = max(i - 1, 0)
-            elif da == db and _mode(a) > _mode(b):
+            elif a & 1 == b & 1 and a > b:  # one kind: codes order as modes do
                 ops[i], ops[i + 1] = b, a
                 coeff = -coeff
                 i = max(i - 1, 0)
-            elif da == db and _mode(a) == _mode(b):
+            elif a == b:
                 dead = True  # adag adag or a a on one mode vanishes
                 break
             else:
@@ -191,7 +195,7 @@ def normal_order(f: FermionOperator) -> FermionOperator:
             continue
         key = tuple(ops)
         out[key] = out.get(key, 0.0) + coeff
-    return FermionOperator(f.n_modes, out)
+    return FermionOperator._unchecked(f.n_modes, out)
 
 
 def commutator(a: FermionOperator, b: FermionOperator) -> FermionOperator:
@@ -200,25 +204,49 @@ def commutator(a: FermionOperator, b: FermionOperator) -> FermionOperator:
 
 def jordan_wigner(f: FermionOperator) -> PauliSum:
     """Map to qubits, one qubit per mode; Hermitian input gives real coefficients.
-    One pass, linear in the term count: each ladder product expands on
-    (coeff, x_mask, z_mask) triples, left to right, merged into one sum."""
+    `_jordan_wigner_all` on one operator: bit-identical to multiplying the ladder
+    images product by product and merging by `PauliSum.simplify`'s rule."""
+    return _jordan_wigner_all([f])[0]
 
-    def strings():
-        for ops, coeff in f.terms.items():
-            acc = [(complex(coeff), 0, 0)]
-            for op in ops:
-                bit = 1 << _mode(op)
-                y_coeff = -0.5j if _is_dag(op) else 0.5j
-                factor = ((0.5 + 0j, bit, bit - 1), (y_coeff, bit, (bit - 1) | bit))
-                acc = [
-                    (ca * cb * phase, x, z)
-                    for ca, ax, az in acc
-                    for cb, bx, bz in factor
-                    for phase, x, z in (_mask_product(ax, az, bx, bz),)
-                ]
-            yield from acc
 
-    return PauliSum._merged(f.n_modes, strings())
+def _jordan_wigner_all(fs: list[FermionOperator]) -> list[PauliSum]:
+    """Images of operators on one mode count, expanded and merged together.
+
+    Each ladder product of k operators becomes 2^k (coefficient, X mask,
+    Z mask) entries in stream order: operators, then terms, then the X
+    branch before the Y branch of each ladder operator, the first one the
+    most significant.  Each step multiplies every entry by its next factor
+    (1/2 or -+i/2) and then by the phase i^e of `pauli._mask_product`: the
+    complex multiplies, in the order, of one product at a time."""
+    n = fs[0].n_modes
+    if n > MAX_JW_MODES:
+        raise ValidationError(f"Jordan-Wigner maps at most {MAX_JW_MODES} modes, got {n}")
+    products = [ops for f in fs for ops in f.terms]
+    lengths = np.array([len(ops) for ops in products], dtype=np.intp)
+    steps = int(lengths.max(initial=0))
+    # Products end on the last step, after padding with mode n, the identity
+    # factor, so step j takes bit steps-1-j of an entry's branch index, and
+    # that bit is 0 on padding.
+    ladders = np.array([(2 * n,) * (steps - len(ops)) + ops for ops in products], dtype=np.intp)
+    sizes = 1 << lengths
+    term = np.repeat(np.arange(len(products)), sizes)
+    branch = np.arange(term.size) - (np.cumsum(sizes) - sizes)[term]
+    coeffs = np.array([c for f in fs for c in f.terms.values()], dtype=complex)[term]
+    xs = zs = np.zeros(term.size, dtype=np.int64)  # each step makes new arrays
+    x_bits = np.append(1 << np.arange(n, dtype=np.int64), 0)
+    z_below = np.append(x_bits[:-1] - 1, 0)
+    for j, op in enumerate(ladders[term].T):
+        y = (branch >> (steps - 1 - j)) & 1
+        bx = x_bits[op >> 1]
+        bz = z_below[op >> 1] | (bx * y)
+        x3, z3 = xs ^ bx, zs ^ bz
+        e = np.bitwise_count(xs & zs) + np.bitwise_count(bx & bz) + 2 * np.bitwise_count(zs & bx)
+        e = (e - np.bitwise_count(x3 & z3)) & 3  # uint8 wraps mod 256, a multiple of 4
+        product = coeffs * _LADDER_FACTORS[op & 1, y] * _PHASE_ARRAY[e]
+        coeffs = np.where(op < 2 * n, product, coeffs)
+        xs, zs = x3, z3
+    owners = np.repeat(np.arange(len(fs)), [len(f.terms) for f in fs])[term]
+    return PauliSum._merged(n, coeffs, xs, zs, owners, len(fs))
 
 
 def _read_only(obj, name: str, dtype) -> None:
@@ -342,25 +370,15 @@ def load_integrals(path: str) -> IntegralSet:
 
 
 def build_hamiltonian(ints: IntegralSet) -> FermionOperator:
-    """H = sum h_pq adag_p a_q + (1/2) sum h_pqrs adag_p adag_q a_r a_s + core."""
-    m = ints.n_modes
-    terms: dict[tuple[int, ...], complex] = {}
-    if abs(ints.core) > _COEFF_ATOL:
-        terms[()] = complex(ints.core)
-    for p in range(m):
-        for q in range(m):
-            h = ints.one_body[p, q]
-            if abs(h) > _COEFF_ATOL:
-                terms[(_op(p, True), _op(q, False))] = complex(h)
-    for p in range(m):
-        for q in range(m):
-            for r in range(m):
-                for s in range(m):
-                    h = ints.two_body[p, q, r, s]
-                    if abs(h) > _COEFF_ATOL:
-                        key = (_op(p, True), _op(q, True), _op(r, False), _op(s, False))
-                        terms[key] = complex(0.5 * h)
-    return FermionOperator(m, terms)
+    """H = sum h_pq adag_p a_q + (1/2) sum h_pqrs adag_p adag_q a_r a_s + core,
+    with the terms whose |h| > 1e-12 in C order of their indices."""
+    terms: dict[tuple[int, ...], complex] = {(): ints.core}
+    for h, scale in ((ints.one_body, 1.0), (ints.two_body, 0.5)):
+        idx = np.nonzero(np.abs(h) > _COEFF_ATOL)
+        # adag on the first half of the indices, a on the rest.
+        ops = [(2 * i + (k < h.ndim // 2)).tolist() for k, i in enumerate(idx)]
+        terms.update(zip(zip(*ops), (scale * h[idx]).tolist()))
+    return FermionOperator._unchecked(ints.n_modes, terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,27 +445,17 @@ def measure_rdm(state, n_modes: int) -> RDMPair:
     if state.n_qubits != n_modes:
         raise DimensionError("state qubit count differs from mode count")
 
-    def expect(ops: list[tuple[int, bool]]) -> complex:
-        f = FermionOperator.from_term(n_modes, 1.0, ops)
-        phi = jordan_wigner(f).compiled.apply(state.amplitudes)
-        return complex(np.vdot(state.amplitudes, phi))
-
-    d1 = np.zeros((n_modes, n_modes), dtype=complex)
-    for i in range(n_modes):
-        for p in range(n_modes):
-            d1[i, p] = expect([(i, True), (p, False)])
-    d2 = np.zeros((n_modes,) * 4, dtype=complex)
-    for i in range(n_modes):
-        for j in range(n_modes):
-            if i == j:
-                continue
-            for p in range(n_modes):
-                for q in range(n_modes):
-                    if p == q:
-                        continue
-                    d2[i, j, p, q] = expect(
-                        [(i, True), (j, True), (p, False), (q, False)]
-                    )
+    m = n_modes
+    keys = list(itertools.product(range(m), repeat=2))
+    keys += [k for k in itertools.product(range(m), repeat=4) if k[0] != k[1] and k[2] != k[3]]
+    # adag on the first half of each key's modes, a on the rest: one image each.
+    ladders = [[(p, k < len(key) // 2) for k, p in enumerate(key)] for key in keys]
+    images = _jordan_wigner_all([FermionOperator.from_term(m, 1.0, ops) for ops in ladders])
+    amps = state.amplitudes
+    d1 = np.zeros((m, m), dtype=complex)
+    d2 = np.zeros((m,) * 4, dtype=complex)
+    for key, ps in zip(keys, images):
+        (d1 if len(key) == 2 else d2)[key] = np.vdot(amps, ps.compiled.apply(amps))
     return RDMPair(n_modes=n_modes, d1=d1, d2=d2)
 
 

@@ -72,11 +72,13 @@ class PauliString:
         limit = 1 << n_qubits
         if not (0 <= x_mask < limit and 0 <= z_mask < limit):
             raise ValidationError("mask exceeds qubit count")
+        return cls._unchecked(n_qubits, x_mask, z_mask)
+
+    @classmethod
+    def _unchecked(cls, n_qubits: int, x_mask: int, z_mask: int) -> "PauliString":
+        """A string from masks already known to fit n_qubits."""
         obj = cls.__new__(cls)
-        obj.n_qubits = n_qubits
-        obj.x_mask = x_mask
-        obj.z_mask = z_mask
-        obj._hash = None
+        obj.n_qubits, obj.x_mask, obj.z_mask, obj._hash = n_qubits, x_mask, z_mask, None
         return obj
 
     @classmethod
@@ -335,22 +337,39 @@ class PauliSum:
     __rmul__ = __mul__
 
     @classmethod
-    def _merged(cls, n_qubits: int, triples) -> "PauliSum":
-        """Sum (coeff, x_mask, z_mask) triples onto first occurrences; drop |c| <= ATOL."""
-        acc: dict[tuple[int, int], complex] = {}
-        for c, x, z in triples:
-            if (x, z) in acc:
-                acc[x, z] += c
-            else:
-                acc[x, z] = c
-        kept = [(c, x, z) for (x, z), c in acc.items() if abs(c) > ATOL]
-        terms = [PauliTerm(c, PauliString.from_masks(n_qubits, x, z)) for c, x, z in kept]
-        return cls(n_qubits, terms)
+    def _merged(cls, n_qubits: int, coeffs, xs, zs, owners=None, count: int = 1) -> list["PauliSum"]:
+        """The strings (coeffs, xs, zs) merged into `count` sums, entry k into sum
+        owners[k] (ascending; all 0 if None): strings in order of first occurrence,
+        each coefficient its first value plus the later ones in stream order, |c|
+        <= ATOL dropped.  Keys sort column by column, never packed, so never wrap."""
+        keys = (zs, xs) if owners is None else (zs, xs, owners)
+        order = np.lexsort(keys)  # stable: a key's entries stay in stream order
+        c = coeffs[order]
+        new = np.zeros(order.size, dtype=bool)
+        new[:1] = True
+        for key in keys:
+            k = key[order]
+            new[1:] |= k[1:] != k[:-1]
+        acc = c[new]
+        if acc.size < c.size:
+            np.add.at(acc, np.cumsum(new)[~new] - 1, c[~new])  # one at a time, in stream order
+        out = np.argsort(order[new])  # keys in order of first occurrence
+        out = out[np.abs(acc[out]) > ATOL]
+        firsts = order[new][out]
+        strings = zip(acc[out].tolist(), xs[firsts].tolist(), zs[firsts].tolist())
+        terms = [PauliTerm(c, PauliString._unchecked(n_qubits, x, z)) for c, x, z in strings]
+        if owners is None:
+            return [cls(n_qubits, terms)]
+        ends = np.searchsorted(owners[firsts], np.arange(count), "right").tolist()
+        return [cls(n_qubits, terms[a:b]) for a, b in zip([0, *ends], ends)]
 
     def simplify(self) -> "PauliSum":
         """Merge duplicate strings and drop coefficients with |c| <= ATOL."""
-        triples = ((t.coeff, t.string.x_mask, t.string.z_mask) for t in self.terms)
-        return PauliSum._merged(self.n_qubits, triples)
+        dtype = np.int64 if self.n_qubits < 64 else object  # wider masks stay Python ints
+        xs = np.array([t.string.x_mask for t in self.terms], dtype=dtype)
+        zs = np.array([t.string.z_mask for t in self.terms], dtype=dtype)
+        coeffs = np.array([t.coeff for t in self.terms], dtype=complex)
+        return PauliSum._merged(self.n_qubits, coeffs, xs, zs)[0]
 
     def is_hermitian(self) -> bool:
         """True when every merged coefficient is real to 1e-10."""

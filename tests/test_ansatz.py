@@ -19,7 +19,10 @@ from vqekit import (
     spin_cluster_generators,
     suquca_generators,
 )
+from vqekit.ansatz import _suquca_blocks
 from vqekit.errors import DimensionError, ParameterError, ValidationError
+
+from test_fermion import exact_terms
 
 
 def assert_antihermitian(gs: GeneratorSet) -> None:
@@ -126,6 +129,14 @@ class TestFermionicUcc:
             assert mean == pytest.approx(2.0, abs=1e-9)
             assert var == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_one_call_images_equal_per_operator_maps(self, m):
+        gs = fermionic_ucc_generators(m, range(m // 2), range(m // 2, m), 2)
+        for g, label in zip(gs.generators, gs.labels):
+            ops = [op for i, p in label[1:] for op in ((i, True), (p, False))]
+            ex = FermionOperator.from_term(m, 1.0, ops)
+            assert exact_terms(g) == exact_terms(jordan_wigner(ex - ex.hermitian_conjugate()))
+
     def test_input_validation(self):
         with pytest.raises(ValidationError):
             fermionic_ucc_generators(4, [0, 1], [1, 2], 1)
@@ -154,6 +165,15 @@ class TestSuquca:
                 a = set(label[0][1:])
                 b = set(label[1][1:])
                 assert not (a & b)
+
+    def test_one_call_images_equal_per_operator_maps(self):
+        blocks = dict(_suquca_blocks(4))
+        gs = suquca_generators(4, 2)
+        for g, label in zip(gs.generators, gs.labels):
+            prod = FermionOperator.identity(4)
+            for block in label:
+                prod = prod * blocks[block]
+            assert exact_terms(g) == exact_terms(jordan_wigner(1j * prod))
 
     def test_order_bounds(self):
         with pytest.raises(ValidationError):

@@ -654,7 +654,8 @@ class TestEstimateExpectation:
 class TestPreparationCap:
     """A plan whose expected preparations G * sum_g Var[Q_g] / eps^2 exceed
     MAX_PREPARATIONS is refused before its first shot, from the group
-    variances that the group loop then uses."""
+    variances that the group loop then uses; a Bayesian group costs at
+    least the shots of its prior."""
 
     def test_tiny_epsilon_is_refused_before_the_first_shot(self, twospin, state01):
         # 3 groups whose variances sum to 2 on |01>: 6e+18 preparations at 1e-9.
@@ -684,6 +685,20 @@ class TestPreparationCap:
             rep = estimate_expectation(lambda: state, twospin, plan, 1e-9, rng=make_rng(8))
         assert rep.value == 3.0
         assert [g.preparations for g in rep.groups] == [MIN_SHOT_FLOOR] * len(plan.groups)
+
+    def test_bayesian_zero_variance_group_is_priced_by_its_prior(self):
+        # ZZ + ZI + IZ at |01> is one group with Var[q] = 0 and E[q] = -1. Its
+        # Bayesian prior alone draws about sqrt(2 * 3 + 2 * 1) / eps shots.
+        h = PauliSum.hermitian([(1.0, "ZZ"), (1.0, "ZI"), (1.0, "IZ")])
+        state = StateVector.from_label("01")
+        plan = MeasurementPlan(groups=((0, 1, 2),))
+        rng = make_rng(8)
+        with wall_budget(0.5):
+            with pytest.raises(CapacityError, match=r"expects 2\.82843e\+09 preparations"):
+                estimate_expectation(lambda: state, h, plan, 1e-9, mode="bayesian", rng=rng)
+        assert rng.random() == make_rng(8).random()  # no variate drawn
+        rep = estimate_expectation(lambda: state, h, plan, 1e-4, mode="bayesian", rng=rng)
+        assert rep.total_preparations == pytest.approx(math.sqrt(8.0) / 1e-4, rel=0.01)
 
     @pytest.mark.parametrize("mode", ["frequentist", "bayesian"])
     def test_each_group_variance_is_computed_once(self, twospin, state01, mode, monkeypatch):

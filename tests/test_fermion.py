@@ -361,9 +361,20 @@ class TestJordanWigner:
 
     def test_bit_identical_on_integral_sets(self):
         fs = [build_hamiltonian(load_integrals(str(FIXTURES / "h2_sto3g.ints")))]
-        fs += [build_hamiltonian(random_integrals(np.random.default_rng(m), m)) for m in (3, 4)]
+        fs += [build_hamiltonian(random_integrals(np.random.default_rng(m), m)) for m in (3, 4, 6)]
         for f in fs:
             assert exact_terms(jordan_wigner(f)) == exact_terms(jw_by_products(f))
+
+    def test_forty_modes_are_exact(self):
+        # Strings on modes 0, 17 and 39 fill 40-bit masks; the keys never wrap.
+        f = T(40, 0.75 - 0.5j, [(39, True), (0, False), (17, True), (39, False)])
+        f = f + T(40, -1.25, [(17, True), (39, False)]) + T(40, 0.5, [(0, True)])
+        assert exact_terms(jordan_wigner(f)) == exact_terms(jw_by_products(f))
+
+    def test_more_than_sixty_two_modes_are_refused(self):
+        assert len(jordan_wigner(T(62, 1.0, [(61, True)]))) == 2
+        with pytest.raises(ValidationError, match="at most 62 modes, got 63"):
+            jordan_wigner(T(63, 1.0, [(0, True)]))
 
     def test_builds_one_sum(self, monkeypatch):
         f = build_hamiltonian(load_integrals(str(FIXTURES / "h2_sto3g.ints")))
@@ -380,10 +391,42 @@ class TestJordanWigner:
 
     def test_eight_modes_is_fast(self):
         # 4161 fermion terms. Adding one PauliSum per term is quadratic in the
-        # term count and took 6-8 s on a 2-core machine; one pass takes 0.14 s.
+        # term count and took 6-8 s on a 2-core machine; a Python loop over
+        # every string took 0.14 s, and the array pass takes about 0.02 s.
         f = build_hamiltonian(random_integrals(np.random.default_rng(8), 8))
         with wall_budget(5.0):
             jordan_wigner(f)
+
+
+def build_by_loops(ints: IntegralSet) -> dict:
+    """Reference `build_hamiltonian` terms: every index in nested loops."""
+    m = ints.n_modes
+    terms = {(): complex(ints.core)} if abs(ints.core) > 1e-12 else {}
+    for p, q in itertools.product(range(m), repeat=2):
+        if abs(ints.one_body[p, q]) > 1e-12:
+            terms[(2 * p + 1, 2 * q)] = complex(ints.one_body[p, q])
+    for p, q, r, s in itertools.product(range(m), repeat=4):
+        h = ints.two_body[p, q, r, s]
+        if abs(h) > 1e-12 and abs(0.5 * h) > 1e-12:
+            terms[(2 * p + 1, 2 * q + 1, 2 * r, 2 * s)] = complex(0.5 * h)
+    return terms
+
+
+class TestBuildHamiltonian:
+    def test_equals_loop_reference(self):
+        sets = [load_integrals(str(FIXTURES / "h2_sto3g.ints"))]
+        sets += [random_integrals(np.random.default_rng(s), m) for m in (3, 4, 6) for s in (m, 7000 + m)]
+        for ints in sets:
+            got = build_hamiltonian(ints).terms
+            want = build_by_loops(ints)
+            assert list(got) == list(want)
+            assert [repr(c) for c in got.values()] == [repr(c) for c in want.values()]
+
+    def test_drops_small_entries(self):
+        two = np.zeros((2,) * 4)
+        two[0, 1, 1, 0] = two[1, 0, 0, 1] = 1.5e-12  # kept as h, dropped as h / 2
+        ints = IntegralSet(2, np.diag([0.0, 1e-13]), two, 0.0)
+        assert build_hamiltonian(ints).terms == {}
 
 
 class TestIntegralFile:
@@ -561,6 +604,24 @@ class TestRdm:
         rdm = measure_rdm(StateVector.from_label("01"), 2)
         with pytest.raises(ValueError, match="read-only"):
             rdm.d2[0, 1, 0, 1] = 1.0
+
+    def test_one_call_equals_per_operator_maps(self):
+        m = 4
+        rng = np.random.default_rng(41)
+        amps = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
+        state = StateVector(amps / np.linalg.norm(amps))
+        rdm = measure_rdm(state, m)
+        for key in itertools.product(range(m), repeat=2):
+            ops = [(key[0], True), (key[1], False)]
+            phi = jordan_wigner(T(m, 1.0, ops)).compiled.apply(state.amplitudes)
+            assert rdm.d1[key].tobytes() == np.vdot(state.amplitudes, phi).tobytes()
+        for key in itertools.product(range(m), repeat=4):
+            if key[0] == key[1] or key[2] == key[3]:
+                assert rdm.d2[key] == 0
+                continue
+            ops = [(key[0], True), (key[1], True), (key[2], False), (key[3], False)]
+            phi = jordan_wigner(T(m, 1.0, ops)).compiled.apply(state.amplitudes)
+            assert rdm.d2[key].tobytes() == np.vdot(state.amplitudes, phi).tobytes()
 
     def test_equality_compares_values(self):
         one = measure_rdm(StateVector.from_label("01"), 2)

@@ -226,6 +226,13 @@ class TestPauliSum:
         s = PauliSum.from_terms([(1.0, "Z"), (1.0, "X"), (1.0, "Z")])
         assert [t.string.letters for t in s.simplify().terms] == ["Z", "X"]
 
+    @pytest.mark.parametrize("n", [63, 64, 70])
+    def test_simplify_on_masks_past_sixty_three_qubits(self, n):
+        # Masks of 64 qubits and more exceed int64 and merge as Python ints.
+        x, y, z = "X" * n, "Y" + "Z" * (n - 1), "I" * (n - 1) + "Z"
+        s = PauliSum.from_terms([(1.0, x), (0.5, y), (2.0, x), (1e-13, z), (0.25, y)])
+        assert [(t.coeff, t.string.letters) for t in s.simplify().terms] == [(3.0, x), (0.75, y)]
+
     def test_identity_part(self):
         s = PauliSum.from_terms([(0.25, "II"), (1.0, "XX"), (0.5, "II")])
         assert s.identity_part() == pytest.approx(0.75)
