@@ -55,6 +55,8 @@ PILOT_SHOTS = 500
 MAX_PREPARATIONS = 10**9
 # Grid points of a discretized posterior density.
 DENSITY_POINTS = 1025
+# Entries at most _FLOOR * max skip the FFT: max * dx <= 2 at mass 1, so n hold < 2n 2^-64.
+_FLOOR = 2.0**-64
 
 
 def posterior_moments(
@@ -408,6 +410,21 @@ def _group_density(coeffs, mean: float, var: float) -> PosteriorDensity:
     return beta_density(max(1.0, m * t), max(1.0, (1.0 - m) * t), half, -half)
 
 
+def _priced_groups(state: StateVector, h: PauliSum, plan: MeasurementPlan, epsilon, mode):
+    """Each group's (sampler, coeffs, table, Var[q]) and the plan's price in `mode`."""
+    groups = []
+    for g in plan.groups:
+        sampler = GroupSampler(state, [h.terms[i].string for i in g])
+        coeffs = np.array([float(np.real(h.terms[i].coeff)) for i in g])
+        groups.append((sampler, coeffs, *_group_values(sampler, coeffs)))
+    n_exp = len(groups) * sum(var for *_, var in groups) / (epsilon * epsilon)
+    for sampler, coeffs, table, var in groups if mode == "bayesian" else ():
+        prior = 2.0 * float(coeffs @ coeffs) + 2.0 * float(sampler.probabilities @ table) ** 2
+        prior_n = math.sqrt(len(groups) * prior) / epsilon  # the shots of the prior alone
+        n_exp += max(0.0, prior_n - len(groups) * var / (epsilon * epsilon))
+    return groups, n_exp
+
+
 def estimate_expectation(
     prep,
     h: PauliSum,
@@ -446,16 +463,7 @@ def estimate_expectation(
     state = prep()
     identity = float(np.real(h.identity_part()))
 
-    groups = []  # (sampler, coeffs, table, Var[q]) per group
-    for g in plan.groups:
-        sampler = GroupSampler(state, [h.terms[i].string for i in g])
-        coeffs = np.array([float(np.real(h.terms[i].coeff)) for i in g])
-        groups.append((sampler, coeffs, *_group_values(sampler, coeffs)))
-    n_exp = len(groups) * sum(var for *_, var in groups) / (epsilon * epsilon)
-    for sampler, coeffs, table, var in groups if mode == "bayesian" else ():
-        prior = 2.0 * float(coeffs @ coeffs) + 2.0 * float(sampler.probabilities @ table) ** 2
-        prior_n = math.sqrt(len(groups) * prior) / epsilon  # the shots of the prior alone
-        n_exp += max(0.0, prior_n - len(groups) * var / (epsilon * epsilon))
+    groups, n_exp = _priced_groups(state, h, plan, epsilon, mode)
     if n_exp > MAX_PREPARATIONS:
         raise CapacityError(
             f"the plan expects {n_exp:g} preparations, over the limit of {MAX_PREPARATIONS:g}"
@@ -500,6 +508,8 @@ class PosteriorDensity:
         pdf = np.asarray(self.pdf, dtype=float)
         if grid.ndim != 1 or grid.shape != pdf.shape or grid.size < 2:
             raise ValidationError("density needs matching 1-d grid and pdf")
+        if not np.all((pdf >= 0.0) & (pdf < math.inf)):  # NaN fails too
+            raise ValidationError("density values must be finite and non-negative")
         steps = np.diff(grid)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ValidationError("density grid must be uniform")
@@ -538,13 +548,24 @@ class PosteriorDensity:
         return lo, hi
 
 
+@lru_cache(maxsize=64)
+def _beta_grid(m1: float, m2: float, *_signs) -> tuple:
+    """Read-only grid, p, p < 1 of `beta_density`; `_signs` keep 0.0 and -0.0 apart."""
+    grid = np.linspace(min(m1, m2), max(m1, m2), DENSITY_POINTS)
+    p = np.clip((grid - m2) / (m1 - m2), 0.0, 1.0)
+    below_one = p < 1.0
+    grid.flags.writeable = p.flags.writeable = below_one.flags.writeable = False
+    return grid, p, below_one
+
+
 def beta_density(alpha: float, beta: float, m1: float, m2: float) -> PosteriorDensity:
     """Posterior density of m1*p + m2*(1-p), p ~ Beta(alpha, beta).
 
     The density is exp of the log-density (alpha-1) log p + (beta-1) log(1-p)
     taken relative to its mode, normalised by its trapezoid mass on the
     grid.  Below alpha or beta = 1 it is unbounded at an end of the grid,
-    which a grid cannot hold, so both must be at least 1.
+    which a grid cannot hold, so both must be at least 1.  The read-only
+    grid is shared by every density on the same (m1, m2).
     """
     if not (alpha >= 1.0 and beta >= 1.0):
         raise ParameterError(
@@ -553,8 +574,7 @@ def beta_density(alpha: float, beta: float, m1: float, m2: float) -> PosteriorDe
     lo, hi = min(m1, m2), max(m1, m2)
     if hi - lo < 1e-300:
         raise ValidationError("degenerate outcome pair has no density")
-    grid = np.linspace(lo, hi, DENSITY_POINTS)
-    p = np.clip((grid - m2) / (m1 - m2), 0.0, 1.0)
+    grid, p, below_one = _beta_grid(m1, m2, math.copysign(1.0, m1), math.copysign(1.0, m2))
     log_pdf = np.zeros_like(p)
     if alpha + beta > 2.0:
         # log(p/p0) and log((1-p)/(1-p0)) about the mode p0 = 1 - q0 go
@@ -567,10 +587,10 @@ def beta_density(alpha: float, beta: float, m1: float, m2: float) -> PosteriorDe
                 log_pdf += (alpha - 1.0) * np.log1p((p - p0) / p0)
             if beta > 1.0:
                 # At p = 1, (p0 - p) / q0 misses -1 by the rounding of p0.
-                ratio = np.where(p < 1.0, (p0 - p) / q0, -1.0)
+                ratio = np.where(below_one, (p0 - p) / q0, -1.0)
                 log_pdf += (beta - 1.0) * np.log1p(ratio)
     pdf = np.exp(log_pdf)
-    return PosteriorDensity._unchecked(grid, pdf / np.trapezoid(pdf, grid))
+    return PosteriorDensity._unchecked(grid, pdf / _trapezoid(pdf, float(grid[1] - grid[0])))
 
 
 @lru_cache(maxsize=64)
@@ -596,20 +616,20 @@ def convolve_posteriors(pdfs) -> PosteriorDensity:
     """Density of the sum of independent discretized posteriors.
 
     Each density is resampled onto the finest grid step, unless it is on
-    that step already, and the sum's density is one inverse FFT of the
-    product of their spectra.
+    that step already; one batched FFT convolves their supports, where they
+    exceed _FLOOR times their maximum, onto the sum's full grid.
     """
     pdfs = list(pdfs)
     if not pdfs:
         raise ValidationError("no densities to convolve")
     for d in pdfs:
         mass = _trapezoid(d.pdf, d.dx)
-        if abs(mass - 1.0) > 1e-6:
+        if not abs(mass - 1.0) <= 1e-6:  # NaN fails too
             raise ValidationError(
                 f"density mass {mass:.8f} drifted past 1e-6; grid too coarse"
             )
     dx = min(d.dx for d in pdfs)
-    resampled = []
+    size, offset, width, supports = 1, 0, 1, []
     for d in pdfs:
         if d.dx == dx:
             pdf = d.pdf
@@ -619,13 +639,16 @@ def convolve_posteriors(pdfs) -> PosteriorDensity:
         mass = _trapezoid(pdf, dx)
         if mass <= 0:
             raise ValidationError("density lost all mass in resampling")
-        resampled.append((float(d.grid[0]), pdf / mass))
-    size = sum(pdf.size for _, pdf in resampled) - (len(resampled) - 1)
-    n_fft = _fft_length(size)
-    spectrum = np.prod([np.fft.rfft(pdf, n_fft) for _, pdf in resampled], axis=0)
-    # Rounding leaves values of order 1e-16 below zero in the empty tails.
-    acc = np.maximum(np.fft.irfft(spectrum, n_fft)[:size], 0.0)
-    grid = sum(s for s, _ in resampled) + dx * np.arange(size)
+        lo, hi = np.flatnonzero(pdf > _FLOOR * pdf.max())[[0, -1]].tolist()
+        supports.append(pdf[lo : hi + 1] / mass)
+        size, offset, width = size + pdf.size - 1, offset + lo, width + hi - lo
+    stack = np.array([np.concatenate([s, np.zeros(width - s.size)]) for s in supports])
+    n_fft = _fft_length(width)
+    spectrum = np.prod(np.fft.rfft(stack, n_fft, axis=1), axis=0)
+    acc = np.zeros(size)
+    # Rounding leaves values of order 1e-16 below zero where the sum is near 0.
+    acc[offset : offset + width] = np.maximum(np.fft.irfft(spectrum, n_fft)[:width], 0.0)
+    grid = sum(float(d.grid[0]) for d in pdfs) + dx * np.arange(size)
     return PosteriorDensity._unchecked(grid, acc / _trapezoid(acc, dx))
 
 

@@ -220,6 +220,30 @@ class TestEstimateCommand:
         assert report["mode"] == "bayesian"
         assert abs(report["value"] + 1.0) < 0.2
 
+    @pytest.mark.parametrize("mode, price", [
+        ("frequentist", "0/epsilon^2 = 0"),
+        ("bayesian", "0.000282843/epsilon^2 = 28284.3"),
+    ])
+    def test_printed_price_is_the_enforced_one(self, tmp_path, mode, price):
+        # ZZ + ZI + IZ at |01> is one group of variance 0 and mean -1: the
+        # Bayesian prior alone draws about sqrt(2 * 3 + 2 * 1) / eps shots.
+        cfg = write_config(
+            tmp_path / "zz.json",
+            {
+                "hamiltonian": {"n_qubits": 2, "terms": TWOSPIN["terms"][2:]},
+                "state": {"label": "01"},
+                "epsilon": 1e-4,
+                "mode": mode,
+                "plans": [{"name": "one", "groups": [[0, 1, 2]]}],
+                "seed": 3,
+            },
+        )
+        code, out, _ = run_cli("estimate", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert f"plan one: expected preparations {price}" in out.splitlines()
+        preps = json.loads((tmp_path / "o" / "report.json").read_text())["total_preparations"]
+        assert preps == (1000 if mode == "frequentist" else 28300)
+
     def test_identity_only_sum_costs_nothing(self, tmp_path):
         cfg = write_config(
             tmp_path / "id.json",

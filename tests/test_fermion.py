@@ -247,13 +247,9 @@ def two_body_commutator_reference(M, i, j, k, l, p, q, r, s) -> FermionOperator:
     def d(a, b):
         return 1.0 if a == b else 0.0
 
-    out = (d(k, q) * d(l, p) - d(k, p) * d(l, q)) * T(
-        M, 1.0, [(i, True), (j, True), (r, False), (s, False)]
-    )
-    out = out - (d(s, i) * d(r, j) - d(r, i) * d(s, j)) * T(
-        M, 1.0, [(p, True), (q, True), (k, False), (l, False)]
-    )
-    six = [
+    terms = [
+        (d(k, q) * d(l, p) - d(k, p) * d(l, q), [(i, True), (j, True), (r, False), (s, False)]),
+        (d(r, i) * d(s, j) - d(s, i) * d(r, j), [(p, True), (q, True), (k, False), (l, False)]),
         (-d(l, p), [(i, True), (j, True), (q, True), (k, False), (r, False), (s, False)]),
         (+d(s, i), [(p, True), (q, True), (j, True), (r, False), (k, False), (l, False)]),
         (+d(k, p), [(i, True), (j, True), (q, True), (l, False), (r, False), (s, False)]),
@@ -263,7 +259,8 @@ def two_body_commutator_reference(M, i, j, k, l, p, q, r, s) -> FermionOperator:
         (-d(k, q), [(i, True), (j, True), (p, True), (l, False), (r, False), (s, False)]),
         (+d(r, j), [(p, True), (q, True), (i, True), (s, False), (k, False), (l, False)]),
     ]
-    for c, ops in six:
+    out = FermionOperator.zero(M)
+    for c, ops in terms:
         if c != 0.0:
             out = out + T(M, c, ops)
     return out
