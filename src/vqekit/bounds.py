@@ -37,9 +37,12 @@ class BoundInputs:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ValidationError("variance cannot be negative")
-        if self.gap <= 0:
+        # Written so that NaN fails each check; gap = inf is "no gap known".
+        if not math.isfinite(self.mean):
+            raise ValidationError("mean must be finite")
+        if not 0.0 <= self.variance < math.inf:
+            raise ValidationError("variance must be finite and non-negative")
+        if not self.gap > 0:
             raise ValidationError("gap must be positive")
         if self.alpha is not None and not 0.5 < self.alpha <= 1.0:
             raise ValidationError("alpha must lie in (0.5, 1]")

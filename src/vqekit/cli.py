@@ -493,9 +493,8 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
     plan_text = []
     best = None
     for name, plan in plans:
-        n_exp = _estimate.expected_preparations(plan, state, h_meas, eps_sampling)
-        if mode == "bayesian":  # the price estimate_expectation enforces
-            n_exp = _estimate._priced_groups(state, h_meas, plan, eps_sampling, mode)[1]
+        plan.validate_against(h_meas)
+        n_exp = _estimate._priced_groups(state, h_meas, plan, eps_sampling, mode)[1]
         coeff = n_exp * epsilon * epsilon
         lines.append(f"plan {name}: {len(plan.groups)} groups")
         plan_text.append(f"# plan {name}")

@@ -17,14 +17,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, ValidationError
+from .errors import CapacityError, DimensionError, ParameterError, ValidationError
 from .pauli import PauliSum, _first_anticommuting_pair, commutes
-from .simulator import (
-    GroupSampler,
-    StateVector,
-    apply_pauli_string,
-    expectation_and_variance,
-)
+from .simulator import GroupSampler, StateVector, apply_pauli_string
 
 __all__ = [
     "MeasurementPlan",
@@ -240,14 +235,14 @@ def truncate_terms(h: PauliSum, epsilon: float, C: float) -> tuple[PauliSum, int
 def expected_preparations(
     plan: MeasurementPlan, state: StateVector, h: PauliSum, epsilon: float
 ) -> float:
-    """Analytic expected shot count G * sum_i Var[Q_i] / eps^2."""
+    """G * sum_g Var[Q_g] / eps^2, the frequentist price `estimate_expectation` enforces."""
     _check_epsilon(epsilon)
     plan.validate_against(h)
-    total_var = 0.0
-    for g in plan.groups:
-        q = PauliSum(h.n_qubits, [h.terms[i] for i in g])
-        total_var += expectation_and_variance(state, q)[1]
-    return len(plan.groups) * total_var / (epsilon * epsilon)
+    if h.n_qubits != state.n_qubits:
+        raise DimensionError("operator and state qubit counts differ")
+    if not h.is_hermitian():
+        raise ValidationError("expectation requires a Hermitian sum")
+    return _priced_groups(state, h, plan, epsilon, "frequentist")[1]
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ class Schedule:
                 raise ValidationError("a spline takes two inner knot values")
         elif self.variant == "bang_bang":
             sw = tuple(sorted(float(t) for t in self.switches))
-            if sw and (sw[0] < 0.0 or sw[-1] > self.tau):
+            if not all(0.0 <= t <= self.tau for t in sw):  # NaN fails too
                 raise ValidationError("switch times must lie in [0, tau]")
             object.__setattr__(self, "switches", sw)
         else:
@@ -205,7 +205,11 @@ def make_schedule(family: str, tau: float, params: np.ndarray) -> Schedule:
     raise ValidationError(f"unknown schedule family {family!r}")
 
 
-def _initial_params(family: str, tau: float, n_switches: int) -> np.ndarray:
+def _initial_params(family: str, objective: str, tau: float, n_switches: int) -> np.ndarray:
+    """The family's starting parameters, once tau, family and objective pass."""
+    _check_tau(tau)
+    if objective not in ("energy", "infidelity"):
+        raise ValidationError(f"unknown objective {objective!r}")
     if family == "linear":
         return np.array([1.0 / tau])
     if family == "spline":
@@ -263,8 +267,7 @@ def optimize_path(
 
 def _optimized_record(family, h_i, h_p, tau, steps, objective, optimizer, n_switches, ends):
     """optimize_path, from `ends` = _endpoints(h_i, h_p) if given."""
-    if objective not in ("energy", "infidelity"):
-        raise ValidationError(f"unknown objective {objective!r}")
+    x0 = _initial_params(family, objective, tau, n_switches)
     steps = steps if steps is not None else _default_steps(tau)
     start, target = ends or _endpoints(h_i, h_p)
 
@@ -275,7 +278,6 @@ def _optimized_record(family, h_i, h_p, tau, steps, objective, optimizer, n_swit
             return _expectation(final, h_p)
         return 1.0 - final.fidelity(target)
 
-    x0 = _initial_params(family, tau, n_switches)
     if optimizer is None:
         res = _opt.nelder_mead(run, x0, tol=1e-6, max_evals=120)
     else:
@@ -311,14 +313,14 @@ def path_study(
     n_switches: int = 2,
 ) -> PathStudyResult:
     """Linear baseline plus optimized-family record at every tau; the
-    endpoint eigensolves run once for the whole study, after every tau is
-    checked against the step limit of `evolve_schedule`."""
+    endpoint eigensolves run once for the whole study, after the family,
+    the objective and every tau's step limit in `evolve_schedule` pass."""
     if h_i.n_qubits != h_p.n_qubits:
         raise ValidationError("Hamiltonians act on different qubit counts")
     taus = [float(t) for t in taus]
     bound = max(_norm_bound(h_i), _norm_bound(h_p))
     for tau in taus:
-        _check_tau(tau)
+        _initial_params(family, objective, tau, n_switches)
         _check_step_bound(h_i.n_qubits, tau, steps or _default_steps(tau), bound)
     records, ends = [], ()
     for tau in taus:

@@ -1,6 +1,7 @@
-"""Shared fixtures: the 2-spin benchmark Hamiltonian, the H2 integral
-fixture, the wall-clock budget, and a terminal summary that reports each
-acceptance check on its own line."""
+"""Shared fixtures: the shipped configs directory, the 2-spin benchmark
+Hamiltonian, the H2 Hamiltonian from the shipped integrals, the wall-clock
+budget, and a terminal summary that reports each acceptance check on its
+own line."""
 
 import time
 from contextlib import contextmanager
@@ -10,7 +11,7 @@ import pytest
 
 import vqekit as vk
 
-FIXTURES = Path(__file__).parent / "fixtures"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @contextmanager
@@ -36,7 +37,7 @@ def state01() -> vk.StateVector:
 
 @pytest.fixture(scope="session")
 def h2_hamiltonian() -> vk.PauliSum:
-    ints = vk.load_integrals(str(FIXTURES / "h2_sto3g.ints"))
+    ints = vk.load_integrals(str(CONFIGS / "h2_sto3g.ints"))
     return vk.jordan_wigner(vk.build_hamiltonian(ints)).simplify()
 
 

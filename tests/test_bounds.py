@@ -5,6 +5,8 @@ mean, variance, and overlap is known in closed form before a bound is
 asked about it.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,24 @@ class TestBoundInputs:
         with pytest.raises(ValidationError):
             BoundInputs(mean=0.0, variance=1.0, alpha=1.1)
         BoundInputs(mean=0.0, variance=1.0, alpha=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_fail_closed(self, bad):
+        # Before, NaN mean or variance gave a (nan, nan) interval and an
+        # infinite variance (-inf, inf).
+        for kwargs in (
+            {"mean": bad, "variance": 1.0},
+            {"mean": 0.0, "variance": bad},
+        ):
+            with pytest.raises(ValidationError):
+                BoundInputs(**kwargs)
+        if bad != math.inf:
+            with pytest.raises(ValidationError, match="gap must be positive"):
+                BoundInputs(mean=0.0, variance=1.0, gap=bad)
+
+    def test_infinite_gap_means_no_gap(self):
+        b = BoundInputs(mean=0.5, variance=0.25, gap=math.inf)
+        assert weinstein_interval(b) == (0.0, 1.0)
 
 
 class TestWeinstein:

@@ -21,7 +21,7 @@ import pytest
 import vqekit as vk
 from vqekit.cli import main
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+from conftest import CONFIGS
 
 TWOSPIN = {
     "n_qubits": 2,
@@ -967,6 +967,107 @@ class TestFailClosed:
         assert "weinstein interval" in proc.stdout
         report = json.loads((tmp_path / "certificates.json").read_text())
         assert report["mean"] == -2.8
+
+
+SPIN_2Q = {
+    "problem": {"hamiltonian": TWOSPIN},
+    "ansatz": {"kind": "spin_cluster", "order": 1, "reference": {"label": "01"}},
+    "optimizer": {"max_evals": 20},
+    "seed": 1,
+}
+OUTPUT_FILES = {
+    "vqe": ("result.json", "trace.csv"),
+    "adiabatic": ("spectrum.csv", "path.csv", "trajectory.csv", "success.csv"),
+}
+
+
+class TestDocumentedKeys:
+    """Each README key that no other CLI test sets: its exit code, files
+    that parse, and a rerun that gives the same bytes."""
+
+    @staticmethod
+    def run_twice(tmp_path, command, cfg):
+        path = write_config(tmp_path / "c.json", cfg)
+        a, b = tmp_path / "a", tmp_path / "b"
+        code, out, err = run_cli(command, "--config", path, "--out", str(a))
+        assert run_cli(command, "--config", path, "--out", str(b)) == (code, out, err)
+        assert sorted(p.name for p in a.iterdir()) == sorted(OUTPUT_FILES[command])
+        for name in OUTPUT_FILES[command]:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+            if name.endswith(".json"):
+                json.loads((a / name).read_text())
+            else:
+                assert read_rows(a / name)[1]
+        return code, out, a
+
+    def test_multistart(self, tmp_path):
+        optimizer = {"method": "multistart", "bounds": [[-1.0, 1.0]], "n_starts": 2, "max_evals": 10}
+        code, _, a = self.run_twice(tmp_path, "vqe", {**UCC_2Q, "optimizer": optimizer})
+        assert code == 2  # each start spends its 10 evaluations
+        result = json.loads((a / "result.json").read_text())
+        assert (len(result["parameters"]), result["evaluations"]) == (1, 20)
+
+    @pytest.mark.parametrize(
+        "ansatz, n_params",
+        [
+            ({"kind": "spin_cluster", "relaxed": True, "trotter_slices": 2}, 12),
+            ({"kind": "suquca"}, 4),
+        ],
+    )
+    def test_ansatz_keys(self, tmp_path, ansatz, n_params):
+        cfg = {**SPIN_2Q, "ansatz": {**SPIN_2Q["ansatz"], **ansatz}}
+        code, _, a = self.run_twice(tmp_path, "vqe", cfg)
+        assert code == 2
+        result = json.loads((a / "result.json").read_text())
+        assert len(result["parameters"]) == n_params
+        assert result["evaluations"] == 20
+
+    @pytest.mark.parametrize(
+        "keys, family, n_params",
+        [
+            ({"objective": "infidelity"}, "spline", 2),
+            ({"family": "bang_bang", "n_switches": 3}, "bang_bang", 3),
+        ],
+    )
+    def test_adiabatic_keys(self, tmp_path, keys, family, n_params):
+        code, out, a = self.run_twice(tmp_path, "adiabatic", {**ADIABATIC_SMALL, **keys})
+        assert code == 0
+        assert f"optimized ({family})" in out
+        header, rows = read_rows(a / "success.csv")
+        params = rows[0][header.index("optimized_params")].split()
+        assert len([float(v) for v in params]) == n_params
+        assert {row[1] for row in read_rows(a / "path.csv")[1]} == {"linear", family}
+
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            (
+                "vqe",
+                {**UCC_2Q, "optimizer": {"method": "multistart"}},
+                "optimizer: multistart needs bounds",
+            ),
+            (
+                "vqe",
+                {**UCC_2Q, "optimizer": {"method": "multistart", "bounds": [[-1.0, 0.0, 1.0]]}},
+                "optimizer.bounds[0]: expected a [lo, hi] pair",
+            ),
+            (
+                "vqe",
+                {**SPIN_2Q, "ansatz": {**SPIN_2Q["ansatz"], "relaxed": "yes"}},
+                "ansatz.relaxed: expected true or false, got 'yes'",
+            ),
+            ("adiabatic", {**ADIABATIC_SMALL, "family": "cubic"}, "unknown schedule family 'cubic'"),
+            ("adiabatic", {**ADIABATIC_SMALL, "objective": "bogus"}, "unknown objective 'bogus'"),
+        ],
+    )
+    def test_bad_value(self, tmp_path, command, cfg, message):
+        path = write_config(tmp_path / "bad.json", cfg)
+        out = tmp_path / "o"
+        code, stdout, err = run_cli(command, "--config", path, "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
 
 
 GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden"

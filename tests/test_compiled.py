@@ -21,9 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import CONFIGS
 from test_fermion import random_integrals
 
 import vqekit.pauli as pauli
+from vqekit.estimate import _priced_groups
 from vqekit.errors import DimensionError, ValidationError
 from vqekit import (
     AnsatzConfig,
@@ -47,8 +49,6 @@ from vqekit import (
     parameter_count,
     prepare_state,
 )
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MATS = {
     "I": np.eye(2, dtype=complex),
@@ -382,14 +382,35 @@ class TestCompileOracle:
             assert_same_compiled(raw)
             assert_same_compiled(simple)
 
-    def test_group_variances(self, h2_hamiltonian):
-        cases = [(h, state, plan, 0.1) for h, state, plan in benchmark_inputs(h2_hamiltonian)]
+    @staticmethod
+    def variance_cases(h2):
+        cases = [(h, state, plan, 0.1) for h, state, plan in benchmark_inputs(h2)]
         for m in (6, 7, 8, 9, 10):
             _, h, state = seeded_set(m)
             cases.append((h, state, build_groups(h), 0.05))
-        for h, state, plan, eps in cases:
-            got = expected_preparations(plan, state, h, eps)
+        return cases
+
+    def test_group_variances(self, h2_hamiltonian):
+        # The former `expected_preparations` body, verbatim: each group's sum
+        # compiled by the X-mask kernel and its exact variance.
+        for h, state, plan, eps in self.variance_cases(h2_hamiltonian):
+            total_var = 0.0
+            for g in plan.groups:
+                q = PauliSum(h.n_qubits, [h.terms[i] for i in g])
+                total_var += expectation_and_variance(state, q)[1]
+            got = len(plan.groups) * total_var / (eps * eps)
             assert same_bits(got, reference_expected_preparations(plan, state, h, eps))
+
+    def test_price_is_the_enforced_one(self, h2_hamiltonian):
+        # `expected_preparations` reads Var[Q_g] from the group samplers'
+        # pattern probabilities, as `estimate_expectation` does: equal bits
+        # on the benchmark inputs and at 6, 9 and 10 modes, and at most
+        # 1.66e-16 relative from the compiled variances (7 modes).
+        for h, state, plan, eps in self.variance_cases(h2_hamiltonian):
+            got = expected_preparations(plan, state, h, eps)
+            assert same_bits(got, _priced_groups(state, h, plan, eps, "frequentist")[1])
+            want = reference_expected_preparations(plan, state, h, eps)
+            assert abs(got - want) <= 4.4e-16 * abs(want)
 
     def test_errors_are_unchanged(self):
         # Group 0 merges to a real coefficient; group 1 does not.

@@ -33,7 +33,7 @@ from vqekit import (
 )
 from vqekit.errors import DimensionError, ValidationError
 
-from conftest import FIXTURES, wall_budget
+from conftest import CONFIGS, wall_budget
 
 
 def T(m, coeff, ops):
@@ -357,7 +357,7 @@ class TestJordanWigner:
         assert exact_terms(jordan_wigner(f)) == exact_terms(jw_by_products(f))
 
     def test_bit_identical_on_integral_sets(self):
-        fs = [build_hamiltonian(load_integrals(str(FIXTURES / "h2_sto3g.ints")))]
+        fs = [build_hamiltonian(load_integrals(str(CONFIGS / "h2_sto3g.ints")))]
         fs += [build_hamiltonian(random_integrals(np.random.default_rng(m), m)) for m in (3, 4, 6)]
         for f in fs:
             assert exact_terms(jordan_wigner(f)) == exact_terms(jw_by_products(f))
@@ -374,7 +374,7 @@ class TestJordanWigner:
             jordan_wigner(T(63, 1.0, [(0, True)]))
 
     def test_builds_one_sum(self, monkeypatch):
-        f = build_hamiltonian(load_integrals(str(FIXTURES / "h2_sto3g.ints")))
+        f = build_hamiltonian(load_integrals(str(CONFIGS / "h2_sto3g.ints")))
         built = []
         init = PauliSum.__init__
 
@@ -411,7 +411,7 @@ def build_by_loops(ints: IntegralSet) -> dict:
 
 class TestBuildHamiltonian:
     def test_equals_loop_reference(self):
-        sets = [load_integrals(str(FIXTURES / "h2_sto3g.ints"))]
+        sets = [load_integrals(str(CONFIGS / "h2_sto3g.ints"))]
         sets += [random_integrals(np.random.default_rng(s), m) for m in (3, 4, 6) for s in (m, 7000 + m)]
         for ints in sets:
             got = build_hamiltonian(ints).terms
@@ -428,7 +428,7 @@ class TestBuildHamiltonian:
 
 class TestIntegralFile:
     def test_h2_fixture_loads(self):
-        ints = load_integrals(str(FIXTURES / "h2_sto3g.ints"))
+        ints = load_integrals(str(CONFIGS / "h2_sto3g.ints"))
         assert ints.n_modes == 4
         assert ints.core == pytest.approx(0.7137539)
         assert ints.one_body[0, 0] == pytest.approx(-1.252477)
@@ -510,7 +510,7 @@ class TestIntegralFile:
             np.testing.assert_array_equal(two, two.transpose(3, 2, 1, 0))
 
     def test_checked_integrals_cannot_change(self):
-        ints = load_integrals(str(FIXTURES / "h2_sto3g.ints"))
+        ints = load_integrals(str(CONFIGS / "h2_sto3g.ints"))
         with pytest.raises(ValueError, match="read-only"):
             ints.one_body[0, 1] = 9.0
         with pytest.raises(ValueError, match="read-only"):
@@ -523,7 +523,7 @@ class TestIntegralFile:
 
     def test_equality_compares_values(self):
         # The generated __eq__ compared arrays inside a tuple and raised.
-        path = str(FIXTURES / "h2_sto3g.ints")
+        path = str(CONFIGS / "h2_sto3g.ints")
         a, b = load_integrals(path), load_integrals(path)
         assert a == b and not a != b
         assert a != IntegralSet(a.n_modes, a.one_body, a.two_body, a.core + 1.0)
@@ -567,7 +567,7 @@ class TestIntegralFile:
 
 class TestRdm:
     def test_energy_matches_direct_expectation(self, h2_hamiltonian):
-        ints = load_integrals(str(FIXTURES / "h2_sto3g.ints"))
+        ints = load_integrals(str(CONFIGS / "h2_sto3g.ints"))
         for label in ("0011", "1100", "0110"):
             state = StateVector.from_label(label)
             rdm = measure_rdm(state, 4)

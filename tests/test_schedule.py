@@ -89,6 +89,12 @@ class TestScheduleFamilies:
         with pytest.raises(ValidationError):
             Schedule.bang_bang(1.0, [1.5])
 
+    def test_bang_bang_refuses_nan_switches(self):
+        # NaN passed the end checks of the sorted switches; [nan] gave g = 0.
+        for switches in ([float("nan")], [1.0, float("nan")]):
+            with pytest.raises(ValidationError, match=r"switch times must lie in \[0, tau\]"):
+                Schedule.bang_bang(10.0, switches)
+
     def test_variant_and_tau_validation(self):
         with pytest.raises(ValidationError):
             Schedule(variant="cosine", tau=1.0)
@@ -275,6 +281,32 @@ class TestOptimizePath:
         h_i, h_p = one_qubit_pair()
         with pytest.raises(ValidationError):
             optimize_path("spline", h_i, h_p, 5.0, objective="overlap")
+
+    @pytest.mark.parametrize(
+        "family, objective, message",
+        [("cubic", "energy", "unknown schedule family 'cubic'"),
+         ("spline", "bogus", "unknown objective 'bogus'")],
+    )
+    def test_unknown_family_or_objective_before_any_eigensolve(
+        self, monkeypatch, family, objective, message
+    ):
+        h_i, h_p = one_qubit_pair()
+        calls = []
+        monkeypatch.setattr(schedule, "_endpoints", lambda *a: calls.append(a))
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            optimize_path(family, h_i, h_p, 5.0, objective=objective)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            path_study(h_i, h_p, [5.0], family=family, objective=objective)
+        assert calls == []
+
+    def test_zero_tau_before_any_eigensolve(self, monkeypatch):
+        # The linear start 1/tau used to divide by zero after the eigensolve.
+        h_i, h_p = one_qubit_pair()
+        calls = []
+        monkeypatch.setattr(schedule, "_endpoints", lambda *a: calls.append(a))
+        with pytest.raises(ValidationError, match="tau must be finite and positive"):
+            optimize_path("linear", h_i, h_p, 0.0)
+        assert calls == []
 
     def test_baseline_record_fields(self):
         h_i, h_p = one_qubit_pair()
