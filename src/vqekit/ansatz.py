@@ -98,7 +98,7 @@ class ReferenceState:
             if len(self.qubit_pairs) != self.n_qubits:
                 raise ValidationError("need one amplitude pair per qubit")
             for c0, c1 in self.qubit_pairs:
-                if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > 1e-8:
+                if not abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) <= 1e-8:  # NaN fails too
                     raise ValidationError("qubit pair is not normalized")
 
     @classmethod

@@ -117,17 +117,11 @@ class PauliString:
         return commutes(self, other)
 
     def action(self) -> tuple[np.ndarray, np.ndarray]:
-        """(src, phases) with (P psi)[b] = phases[b] * psi[src[b]].
-
-        src[b] = b ^ x and phases = i^{|x & z|} (-1)^{|src & z|}, so row b
-        of the matrix holds phases[b] in column src[b] and is zero elsewhere.
-        """
-        src = np.arange(1 << self.n_qubits, dtype=np.intp) ^ self.x_mask
-        signs = 1.0 - 2.0 * (np.bitwise_count(src & self.z_mask) & 1)
-        phases = _PHASES[(self.x_mask & self.z_mask).bit_count() % 4] * signs
-        src.setflags(write=False)  # callers may share a cached copy
-        phases.setflags(write=False)
-        return src, phases
+        """(src, phases) with (P psi)[b] = phases[b] * psi[src[b]]: row b of
+        the matrix holds phases[b] in column src[b] and is zero elsewhere.
+        The one-row case of `_x_mask_action`."""
+        src, phases = _x_mask_action(self.n_qubits, self.x_mask, (self.z_mask,))
+        return src, phases[0]
 
     def to_matrix(self) -> np.ndarray:
         return PauliSum(self.n_qubits, [PauliTerm(1.0 + 0j, self)]).to_matrix()
@@ -197,7 +191,8 @@ def _first_anticommuting_pair(masks) -> tuple[int, int] | None:
 def _x_mask_action(n_qubits: int, x: int, z_masks) -> tuple[np.ndarray, np.ndarray]:
     """(src, phases) of the strings (x, z) for each z in z_masks, which share
     src = b ^ x: row k of phases is i^{|x & z_k|} (-1)^{|src & z_k|}.  One
-    (k x d) bitwise_count gives every row's signs, and one select the rows."""
+    (k x d) bitwise_count gives every row's signs, and one select the rows.
+    x may also be a (k, 1) column of masks, one per z: src is then (k x d)."""
     src = np.arange(1 << n_qubits, dtype=np.intp) ^ x
     zs = np.array(z_masks, dtype=np.intp)[:, None]
     table = _PHASE_SIGNS[np.bitwise_count(x & zs) & 3]  # (k, 1, 2): each row's two values

@@ -11,6 +11,7 @@ along the path are reported against A = 1 - g, the weight of H_i.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,11 +175,18 @@ def _endpoints(h_i: PauliSum, h_p: PauliSum) -> tuple[StateVector, StateVector]:
     return ground_state(h_i)[1], target
 
 
-def _default_steps(tau: float) -> int:
-    steps = 20.0 * tau
-    if not math.isfinite(steps):
-        raise ValidationError(f"tau {tau!r} is too large for a default step count")
-    return max(400, math.ceil(steps))
+def _steps(tau: float, steps: int | None) -> int:
+    """The step count at tau, checked before any eigensolve: None gives the
+    default of 20 per unit time, at least 400."""
+    if steps is None:
+        if not math.isfinite(20.0 * tau):
+            raise ValidationError(f"tau {tau!r} is too large for a default step count")
+        return max(400, math.ceil(20.0 * tau))
+    if not isinstance(steps, numbers.Integral):
+        raise ValidationError(f"steps must be an integer, got {steps!r}")
+    if steps < 1:
+        raise ValidationError("steps must be >= 1")
+    return steps
 
 
 def success_probability(
@@ -188,8 +196,8 @@ def success_probability(
     steps: int | None = None,
 ) -> float:
     """P(ground of H_p) after evolving the ground of H_i along the schedule."""
+    steps = _steps(sched.tau, steps)
     start, target = _endpoints(h_i, h_p)
-    steps = steps if steps is not None else _default_steps(sched.tau)
     final = evolve_schedule(start, sched, h_i, h_p, sched.tau, steps)
     return final.fidelity(target)
 
@@ -220,8 +228,9 @@ def _initial_params(family: str, objective: str, tau: float, n_switches: int) ->
     raise ValidationError(f"unknown schedule family {family!r}")
 
 
-def _record_path(sched, params, evaluations, h_i, h_p, steps, start, target) -> PathRecord:
-    """Evolve along sched, sampling the overlap with target on a fixed stride."""
+def _record_path(sched, evaluations, h_i, h_p, steps, start, target) -> PathRecord:
+    """Evolve along sched, sampling the overlap with target on a fixed stride.
+    The params recorded are the schedule's own, as clipped or pinned."""
     tau = sched.tau
     stride = max(1, steps // (TRAJECTORY_POINTS - 1))
     s_samples = [0.0]
@@ -237,7 +246,7 @@ def _record_path(sched, params, evaluations, h_i, h_p, steps, start, target) -> 
     return PathRecord(
         tau=tau,
         family=sched.variant,
-        params=params,
+        params=sched.switches if sched.variant == "bang_bang" else sched.theta,
         success=final.fidelity(target),
         evaluations=evaluations,
         trajectory_s=np.asarray(s_samples),
@@ -268,7 +277,7 @@ def optimize_path(
 def _optimized_record(family, h_i, h_p, tau, steps, objective, optimizer, n_switches, ends):
     """optimize_path, from `ends` = _endpoints(h_i, h_p) if given."""
     x0 = _initial_params(family, objective, tau, n_switches)
-    steps = steps if steps is not None else _default_steps(tau)
+    steps = _steps(tau, steps)
     start, target = ends or _endpoints(h_i, h_p)
 
     def run(params: np.ndarray) -> float:
@@ -282,10 +291,8 @@ def _optimized_record(family, h_i, h_p, tau, steps, objective, optimizer, n_swit
         res = _opt.nelder_mead(run, x0, tol=1e-6, max_evals=120)
     else:
         res = optimizer(run, x0)
-    best = np.asarray(res.x, dtype=float)
-    sched = make_schedule(family, tau, best)
-    params = tuple(float(v) for v in best)
-    return _record_path(sched, params, res.evaluations, h_i, h_p, steps, start, target)
+    sched = make_schedule(family, tau, np.asarray(res.x, dtype=float))
+    return _record_path(sched, res.evaluations, h_i, h_p, steps, start, target)
 
 
 def baseline_record(
@@ -295,12 +302,8 @@ def baseline_record(
     steps: int | None = None,
 ) -> PathRecord:
     """The un-optimized linear path at this tau, for comparison columns."""
-    return _baseline(h_i, h_p, tau, steps, _endpoints(h_i, h_p))
-
-
-def _baseline(h_i, h_p, tau, steps, ends) -> PathRecord:
-    steps = steps if steps is not None else _default_steps(tau)
-    return _record_path(Schedule.linear(tau), (1.0 / tau,), 1, h_i, h_p, steps, *ends)
+    sched, steps = Schedule.linear(tau), _steps(tau, steps)
+    return _record_path(sched, 1, h_i, h_p, steps, *_endpoints(h_i, h_p))
 
 
 def path_study(
@@ -321,11 +324,12 @@ def path_study(
     bound = max(_norm_bound(h_i), _norm_bound(h_p))
     for tau in taus:
         _initial_params(family, objective, tau, n_switches)
-        _check_step_bound(h_i.n_qubits, tau, steps or _default_steps(tau), bound)
+        _check_step_bound(h_i.n_qubits, tau, _steps(tau, steps), bound)
     records, ends = [], ()
     for tau in taus:
         ends = ends or _endpoints(h_i, h_p)
-        records.append(_baseline(h_i, h_p, tau, steps, ends))
+        linear = Schedule.linear(tau)
+        records.append(_record_path(linear, 1, h_i, h_p, _steps(tau, steps), *ends))
         records.append(
             _optimized_record(family, h_i, h_p, tau, steps, objective, None, n_switches, ends)
         )

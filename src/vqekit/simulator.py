@@ -52,7 +52,7 @@ class StateVector:
         if amps.size != (1 << n) or amps.size < 2:
             raise ValidationError(f"amplitude count {amps.size} is not a power of two")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_ATOL:
+        if not abs(norm - 1.0) <= _NORM_ATOL:  # NaN fails too
             raise ValidationError(f"state norm {norm} is not 1")
         self.n_qubits = n
         self.amplitudes = amps
@@ -99,20 +99,11 @@ class StateVector:
         return f"StateVector(n_qubits={self.n_qubits})"
 
 
-# Per-string (src, phases) tables; strings are hashable and immutable.
-_string_action = lru_cache(maxsize=256)(PauliString.action)
-
-
-def _apply_string(amps: np.ndarray, s: PauliString) -> np.ndarray:
-    """P|psi> for unit-coefficient P: one gather and one multiply."""
-    src, phases = _string_action(s)
-    return amps[src] * phases
-
-
 def apply_pauli_string(state: StateVector, s: PauliString) -> StateVector:
     if s.n_qubits != state.n_qubits:
         raise DimensionError("string and state qubit counts differ")
-    return StateVector._unchecked(_apply_string(state.amplitudes, s), state.n_qubits)
+    src, phases = s.action()
+    return StateVector._unchecked(state.amplitudes[src] * phases, state.n_qubits)
 
 
 def apply_pauli_exponential(state: StateVector, s: PauliString, theta: float) -> StateVector:
@@ -120,9 +111,9 @@ def apply_pauli_exponential(state: StateVector, s: PauliString, theta: float) ->
     if s.n_qubits != state.n_qubits:
         raise DimensionError("string and state qubit counts differ")
     theta = float(theta)
-    amps = np.cos(theta) * state.amplitudes + 1j * np.sin(theta) * _apply_string(
-        state.amplitudes, s
-    )
+    src, phases = s.action()
+    amps = state.amplitudes
+    amps = np.cos(theta) * amps + 1j * np.sin(theta) * (amps[src] * phases)
     return StateVector._unchecked(amps, state.n_qubits)
 
 

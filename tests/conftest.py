@@ -1,12 +1,13 @@
 """Shared fixtures: the shipped configs directory, the 2-spin benchmark
 Hamiltonian, the H2 Hamiltonian from the shipped integrals, the wall-clock
-budget, and a terminal summary that reports each acceptance check on its
-own line."""
+budget, the reference action of a Pauli string, and a terminal summary that
+reports each acceptance check on its own line."""
 
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vqekit as vk
@@ -20,6 +21,16 @@ def wall_budget(seconds: float):
     yield
     elapsed = time.perf_counter() - t0
     assert elapsed < seconds, f"budget {seconds:g}s exceeded: {elapsed:.2f}s"
+
+
+def reference_action(s: vk.PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """(src, phases) with (P psi)[b] = phases[b] * psi[src[b]]: the former
+    `PauliString.action` body, kept as an oracle independent of the X-mask
+    kernel.  src[b] = b ^ x and phases = i^{|x & z|} (-1)^{|src & z|}."""
+    src = np.arange(1 << s.n_qubits, dtype=np.intp) ^ s.x_mask
+    signs = 1.0 - 2.0 * (np.bitwise_count(src & s.z_mask) & 1)
+    phases = (1.0 + 0j, 1j, -1.0 + 0j, -1j)[(s.x_mask & s.z_mask).bit_count() % 4] * signs
+    return src, phases
 
 
 @pytest.fixture

@@ -210,6 +210,16 @@ class TestReferenceState:
         with pytest.raises(ValidationError):
             ReferenceState(n_qubits=1, qubit_pairs=((0.5 + 0j, 0.5 + 0j),))
 
+    def test_pair_validation_refuses_nan(self):
+        # A NaN amplitude gives a NaN norm, which compares false with any tolerance.
+        for q in range(2):
+            for slot in range(2):
+                for part in (np.nan, complex(0.0, np.nan)):
+                    pairs = [[1.0 + 0j, 0j], [1.0 + 0j, 0j]]
+                    pairs[q][slot] = part
+                    with pytest.raises(ValidationError, match="^qubit pair is not normalized$"):
+                        ReferenceState(n_qubits=2, qubit_pairs=tuple(map(tuple, pairs)))
+
     def test_pair_product_state(self):
         r = 1 / np.sqrt(2)
         ref = ReferenceState(

@@ -4,11 +4,13 @@ Random sums of up to five qubits are checked against a dense oracle that
 is rebuilt here from the 2x2 matrices with one kron per term, the
 construction the compiled form replaces.  Coefficients are drawn from a
 small dyadic set so duplicate strings cancel exactly and the validation
-flags have exact answers.  The former term-by-term build, and the former
-`expected_preparations` on top of it, are kept here as the bitwise oracles
-of the vectorised X-mask kernel.
+flags have exact answers.  The former term-by-term build, the former
+`expected_preparations` on top of it, the former per-string action and the
+former per-term `exact_covariances` are kept here as the bitwise oracles of
+the vectorised X-mask kernel.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -21,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import CONFIGS
+from conftest import CONFIGS, reference_action
 from test_fermion import random_integrals
 
+import vqekit.estimate as estimate
 import vqekit.pauli as pauli
 from vqekit.estimate import _priced_groups
 from vqekit.errors import DimensionError, ValidationError
@@ -249,7 +252,7 @@ def reference_compiled(h: PauliSum):
         s = t.string
         key = (s.x_mask, s.z_mask)
         merged[key] = merged.get(key, 0j) + t.coeff
-        src, phases = s.action()
+        src, phases = reference_action(s)
         if s.x_mask not in groups:
             groups[s.x_mask] = (src, np.zeros(src.size, dtype=complex))
         diag = groups[s.x_mask][1]
@@ -423,6 +426,68 @@ class TestCompileOracle:
         other = StateVector.from_label("011")
         with pytest.raises(DimensionError, match="^operator and state qubit counts differ$"):
             expected_preparations(MeasurementPlan(groups=((0, 1), (2,))), other, h, 0.1)
+
+
+def reference_covariances(h: PauliSum, state: StateVector) -> np.ndarray:
+    """The former `exact_covariances`: one reference string action per
+    non-identity term, then the same cross product and outer subtraction."""
+    m = len(h.terms)
+    phis = np.zeros((m, state.amplitudes.size), dtype=complex)
+    means = np.zeros(m)
+    for i, t in enumerate(h.terms):
+        if t.string.is_identity():
+            continue
+        src, phases = reference_action(t.string)
+        phi = complex(t.coeff) * (state.amplitudes[src] * phases)
+        phis[i] = phi
+        means[i] = float(np.real(np.vdot(state.amplitudes, phi)))
+    cross = np.real(phis.conj() @ phis.T)
+    return cross - np.outer(means, means)
+
+
+class TestActionOracle:
+    """`PauliString.action` and `exact_covariances` run on the X-mask kernel
+    and give the former per-string results bit for bit."""
+
+    def test_every_string_of_up_to_five_qubits(self):
+        count = 0
+        for n in range(1, 6):
+            for chars in itertools.product("IXYZ", repeat=n):
+                s = PauliString("".join(chars))
+                src, phases = s.action()
+                want_src, want_phases = reference_action(s)
+                assert same_bits(src, want_src) and same_bits(phases, want_phases), s
+                count += 1
+        assert count == 1364
+
+    def test_covariances(self, h2_hamiltonian):
+        inputs = benchmark_inputs(h2_hamiltonian)
+        cases = [inputs[0][:2], inputs[2][:2]]  # two-spin at |01>, H2 at a UCC state
+        for m in (6, 8, 10):
+            raw, simple, state = seeded_set(m)
+            cases += [(simple, state)] if m > 6 else [(raw, state), (simple, state)]
+        # Identity rows, a signed zero and complex coefficients.
+        odd = PauliSum.from_terms([(0.5, "II"), (complex(-0.0, 0.3), "XY"), (2.0 - 1j, "ZI")])
+        cases.append((odd, StateVector(random_state(2, 25))))
+        for h, state in cases:
+            assert same_bits(exact_covariances(h, state), reference_covariances(h, state))
+
+    def test_covariance_blocks(self, monkeypatch):
+        # Blocks of one, two and three rows give the bits of a single block.
+        _, h, state = seeded_set(6)
+        want = reference_covariances(h, state)
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(estimate, "_ROW_BLOCK_BYTES", rows * state.amplitudes.nbytes)
+            assert same_bits(exact_covariances(h, state), want)
+
+    @pytest.mark.parametrize("letters", ["II", "XZ"])
+    def test_covariance_qubit_counts_must_match(self, letters):
+        # Checked before any row: an identity-only sum forms none, and a
+        # larger state would gather in-range indices into wrong numbers.
+        h = PauliSum.from_terms([(1.0, letters)])
+        for label in ("010", "0"):
+            with pytest.raises(DimensionError, match="^string and state qubit counts differ$"):
+                exact_covariances(h, StateVector.from_label(label))
 
 
 class TestPairTest:

@@ -19,7 +19,7 @@ from vqekit import (
 )
 from vqekit import schedule
 from vqekit.errors import ValidationError
-from vqekit.optimize import nelder_mead
+from vqekit.optimize import OptResult, nelder_mead
 from vqekit.schedule import baseline_record, make_schedule
 
 
@@ -314,6 +314,60 @@ class TestOptimizePath:
         assert base.family == "linear"
         assert base.params == (0.125,)
         assert base.evaluations == 1
+
+
+class TestRecordedParams:
+    """A record's params are those of the schedule that ran."""
+
+    def test_bang_bang_records_the_switches_that_ran(self):
+        # The optimizer's switches here reach -0.94 and 8.06 at tau = 5, and
+        # the schedule clips them: the record holds the clipped ones.
+        h_i, h_p = one_qubit_pair()
+        tau = 5.0
+        base, rec = path_study(h_i, h_p, [tau], family="bang_bang", n_switches=3).records
+        assert base.params == (1.0 / tau,)
+        sw = rec.params
+        assert len(sw) == 3 and list(sw) == sorted(sw)
+        assert all(0.0 <= t <= tau for t in sw)
+        assert make_schedule("bang_bang", tau, np.array(sw)).switches == sw
+        assert rec.success == success_probability(Schedule.bang_bang(tau, sw), h_i, h_p)
+
+    def test_linear_records_the_pinned_rate(self):
+        # A rate below 1/tau never runs: the schedule pins it to 1/tau.
+        h_i, h_p = one_qubit_pair()
+
+        def below_floor(fn, x0):
+            return OptResult(x=np.array([0.01]), value=fn(x0), evaluations=1, converged=True)
+
+        rec = optimize_path("linear", h_i, h_p, 5.0, optimizer=below_floor)
+        assert rec.params == (0.2,)
+        assert make_schedule("linear", 5.0, np.array(rec.params)).theta == rec.params
+
+
+class TestStepsBeforeEigensolve:
+    @pytest.mark.parametrize("steps", [0, -1, 2.5])
+    def test_bad_steps_run_no_eigensolve(self, monkeypatch, steps):
+        h_i, h_p = one_qubit_pair()
+        calls = []
+        monkeypatch.setattr(schedule, "_endpoints", lambda *a: calls.append(a))
+        message = "steps must be >= 1" if steps != 2.5 else "steps must be an integer, got 2.5"
+        for call in (
+            lambda: path_study(h_i, h_p, [5.0], steps=steps),
+            lambda: optimize_path("spline", h_i, h_p, 5.0, steps=steps),
+            lambda: baseline_record(h_i, h_p, 5.0, steps=steps),
+            lambda: success_probability(Schedule.linear(5.0), h_i, h_p, steps=steps),
+        ):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                call()
+        assert calls == []
+
+    def test_zero_tau_baseline_runs_no_eigensolve(self, monkeypatch):
+        h_i, h_p = one_qubit_pair()
+        calls = []
+        monkeypatch.setattr(schedule, "_endpoints", lambda *a: calls.append(a))
+        with pytest.raises(ValidationError, match="tau must be finite and positive"):
+            baseline_record(h_i, h_p, 0.0)
+        assert calls == []
 
 
 class TestPathStudy:

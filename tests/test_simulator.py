@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import wall_budget
+from conftest import reference_action, wall_budget
 from test_fermion import random_integrals
 
 from vqekit import (
@@ -40,7 +40,7 @@ from vqekit import (
     parameter_count,
     prepare_state,
 )
-from vqekit import simulator
+from vqekit import pauli, simulator
 from vqekit.errors import (
     CapacityError,
     DimensionError,
@@ -87,6 +87,17 @@ class TestStateVector:
             StateVector(np.array([1.0]))
         with pytest.raises(ValidationError):
             StateVector(np.array([0.9, 0.0]))
+
+    def test_rejects_nan_amplitudes(self):
+        # A NaN amplitude gives norm NaN, which compares false with any tolerance.
+        for size in (2, 4):
+            for k in range(size):
+                for part in (1.0, 1j):
+                    amps = np.zeros(size, dtype=complex)
+                    amps[(k + 1) % size] = 1.0
+                    amps[k] += np.nan * part
+                    with pytest.raises(ValidationError, match="^state norm nan is not 1$"):
+                        StateVector(amps)
 
     def test_amplitudes_are_always_copied(self):
         for amps in (np.array([1.0, 0.0]), np.array([1.0, 0.0], dtype=complex)):
@@ -328,8 +339,8 @@ class TestSampleGroup:
 
 def oracle_sample_group(state, strings, rng):
     """One sequential measurement per call: the per-shot loop GroupSampler
-    replaced, kept verbatim as the reference (P|psi> via the public
-    PauliString.action table)."""
+    replaced, kept as the reference (P|psi> via the reference action table,
+    not the X-mask kernel)."""
     strings = tuple(strings)
     if not strings:
         raise ValidationError("empty measurement group")
@@ -345,7 +356,7 @@ def oracle_sample_group(state, strings, rng):
     amps = state.amplitudes.copy()
     outcomes = []
     for s in strings:
-        src, phases = s.action()
+        src, phases = reference_action(s)
         applied = amps[src] * phases
         p_plus = 0.5 * (1.0 + float(np.real(np.vdot(amps, applied))))
         p_plus = min(1.0, max(0.0, p_plus))
@@ -360,7 +371,8 @@ def oracle_sample_group(state, strings, rng):
 
 def _born(amps, s):
     """P|psi> and the Born probability of outcome +1 for P on |psi>."""
-    applied = simulator._apply_string(amps, s)
+    src, phases = reference_action(s)
+    applied = amps[src] * phases
     p_plus = 0.5 * (1.0 + float(np.real(np.vdot(amps, applied))))
     return applied, min(1.0, max(0.0, p_plus))
 
@@ -455,7 +467,8 @@ def gray_code_probabilities(state, gens):
     for i in range(1, mean.size):
         bit = (i & -i).bit_length() - 1
         subset ^= 1 << bit
-        phi = simulator._apply_string(phi, gens[bit])
+        src, phases = reference_action(gens[bit])
+        phi = phi[src] * phases
         mean[subset] = np.vdot(psi, phi).real
     a, h = mean, 1
     while h < a.size:
@@ -681,13 +694,13 @@ class TestGroupSampler:
         h, state, plan = ten_modes
         assert len(plan.groups) == 197
         applies = []
-        real = simulator._apply_string
+        real = pauli._x_mask_action
 
-        def counted(amps, s):
-            applies.append(s)
-            return real(amps, s)
+        def counted(n, x, z_masks):
+            applies.append(x)
+            return real(n, x, z_masks)
 
-        monkeypatch.setattr(simulator, "_apply_string", counted)
+        monkeypatch.setattr(pauli, "_x_mask_action", counted)
         simulator._compile_group.cache_clear()
         rng = make_rng(0)
         with wall_budget(3.0):
