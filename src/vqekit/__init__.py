@@ -33,8 +33,6 @@ from .fermion import (
 from .simulator import (
     GroupSampler,
     StateVector,
-    apply_pauli_exponential,
-    apply_pauli_string,
     evolve_schedule,
     exact_eigensystem,
     expectation_and_variance,
@@ -44,7 +42,6 @@ from .ansatz import (
     AnsatzConfig,
     GeneratorSet,
     ReferenceState,
-    canonicalize_reference,
     fermionic_ucc_generators,
     parameter_count,
     prepare_state,
@@ -68,7 +65,6 @@ from .estimate import (
     estimate_expectation,
     exact_covariances,
     expected_preparations,
-    pilot_covariances,
     posterior_moments,
     truncate_terms,
 )
@@ -91,6 +87,6 @@ from .optimize import (
     write_study_csv,
     write_summary_csv,
 )
-from .rng import make_rng, spawn_rngs
+from .rng import make_rng
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ __all__ = [
     "suquca_generators",
     "prepare_state",
     "parameter_count",
-    "canonicalize_reference",
 ]
 
 _ALPHAS = "XYZ"
@@ -273,24 +272,3 @@ def prepare_state(
             terms = [term for g, theta in pairs if theta != 0.0 for term in (theta * g).terms]
             amps = _exp_generator(amps, PauliSum(gens.n_qubits, terms), 1.0)
     return StateVector._unchecked(amps, gens.n_qubits)
-
-
-def canonicalize_reference(
-    ref: ReferenceState,
-) -> tuple[list[np.ndarray], ReferenceState]:
-    """Single-qubit rotations R_q with R_q|0> = (c0, c1), plus the canonical
-    all-zeros reference.  Applying the rotations to |0...0> rebuilds ref."""
-    pairs = []
-    if ref.basis_index is not None:
-        for q in range(ref.n_qubits):
-            bit = (ref.basis_index >> q) & 1
-            pairs.append((1.0 + 0j, 0j) if bit == 0 else (0j, 1.0 + 0j))
-    else:
-        pairs = [(complex(c0), complex(c1)) for c0, c1 in ref.qubit_pairs]
-    rotations = []
-    for c0, c1 in pairs:
-        rotations.append(
-            np.array([[c0, -np.conj(c1)], [c1, np.conj(c0)]], dtype=complex)
-        )
-    canonical = ReferenceState(n_qubits=ref.n_qubits, basis_index=0)
-    return rotations, canonical

@@ -104,6 +104,8 @@ def delos_blinder(b: BoundInputs, sqrt_variance: bool = False) -> float:
 
 def folded_spectrum(h: PauliSum, gamma: float) -> PauliSum:
     """(H - gamma I)^2; its ground state is h's eigenvector nearest gamma."""
+    if not math.isfinite(gamma):
+        raise ValidationError(f"gamma must be finite, got {gamma!r}")
     if not h.is_hermitian():
         raise ValidationError("folding requires a Hermitian operator")
     shifted = h + PauliSum.identity(h.n_qubits, -float(gamma))
@@ -122,8 +124,11 @@ class SymmetryConstraint:
     def __post_init__(self):
         if not self.operator.is_hermitian():
             raise ValidationError("symmetry operator must be Hermitian")
-        if self.multiplier < 0:
-            raise ValidationError("multiplier cannot be negative")
+        # Written so that NaN fails each check.
+        if not math.isfinite(self.target):
+            raise ValidationError("target must be finite")
+        if not 0.0 <= self.multiplier < math.inf:
+            raise ValidationError("multiplier must be finite and non-negative")
 
     def penalty(self) -> PauliSum:
         shifted = self.operator + PauliSum.identity(

@@ -29,7 +29,6 @@ __all__ = [
     "posterior_moments",
     "build_groups",
     "exact_covariances",
-    "pilot_covariances",
     "truncate_terms",
     "expected_preparations",
     "estimate_expectation",
@@ -44,7 +43,6 @@ MIN_SHOT_FLOOR = 1000
 BATCH_SIZE = 100
 # Shots in the largest single draw of a group's sampler: whole batches.
 MAX_BLOCK = 64_000
-PILOT_SHOTS = 500
 # Expected preparations G * sum_g Var[Q_g] / eps^2 above which an estimate is
 # refused before its first shot: an epsilon such as 1e-9 asks for about 1e18.
 MAX_PREPARATIONS = 10**9
@@ -140,35 +138,6 @@ def exact_covariances(h: PauliSum, state: StateVector) -> np.ndarray:
     means[idx] = [np.vdot(psi, phis[i]).real for i in idx]
     cross = np.real(phis.conj() @ phis.T)
     return cross - np.outer(means, means)
-
-
-def pilot_covariances(prep, h: PauliSum, rng: np.random.Generator) -> np.ndarray:
-    """Low-precision sampled covariance estimates for planning.
-
-    Commuting pairs are co-measured PILOT_SHOTS times each; non-commuting
-    off-diagonal entries are left at zero (they can never share a group).
-    prep is called once and must return the state to measure.
-    """
-    state = prep()
-    m = len(h.terms)
-    cov = np.zeros((m, m))
-    idx = _measurable_indices(h)
-    for a in range(len(idx)):
-        for b in range(a, len(idx)):
-            i, j = idx[a], idx[b]
-            si, sj = h.terms[i].string, h.terms[j].string
-            if i != j and not commutes(si, sj):
-                continue
-            hi = float(np.real(h.terms[i].coeff))
-            hj = float(np.real(h.terms[j].coeff))
-            sampler = GroupSampler(state, (si,) if i == j else (si, sj))
-            signs = sampler.outcome_table[sampler.draw(rng, PILOT_SHOTS)]
-            xs = hi * signs[:, 0]
-            ys = hj * signs[:, -1] if i != j else xs
-            c = float(np.mean(xs * ys) - np.mean(xs) * np.mean(ys))
-            cov[i, j] = c
-            cov[j, i] = c
-    return cov
 
 
 def build_groups(h: PauliSum, cov: np.ndarray | None = None) -> MeasurementPlan:

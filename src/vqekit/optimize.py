@@ -9,6 +9,7 @@ are built from.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -174,10 +175,13 @@ def multistart(
     if rng is None:
         raise ValidationError("multistart needs an explicit rng")
     rng = make_rng(rng)
+    # Written so that NaN fails each check.
+    if not n_starts >= 1:
+        raise ValidationError(f"n_starts must be at least 1, got {n_starts!r}")
     lo = np.array([b[0] for b in bounds], dtype=float)
     hi = np.array([b[1] for b in bounds], dtype=float)
-    if np.any(hi <= lo):
-        raise ValidationError("bounds must satisfy lo < hi")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all()):
+        raise ValidationError("bounds must be finite with lo < hi")
     obj = fn if isinstance(fn, Objective) else Objective(fn)
     trace_start = len(obj.trace)
     from scipy.stats import qmc  # slow import; kept off `import vqekit`
@@ -216,10 +220,12 @@ def noisy_benchmark(
     variance eps^2.  Each row records the exact-objective error at the
     returned optimum, so the table measures the optimizer, not the noise.
     """
+    eps_grid = list(eps_grid)
+    for eps in eps_grid:
+        if not 0.0 <= eps < math.inf:  # NaN fails too
+            raise ValidationError(f"noise level must be finite and >= 0, got {eps!r}")
     rows = []
     for i_eps, eps in enumerate(eps_grid):
-        if eps < 0:
-            raise ValidationError("noise level must be >= 0")
         for rep in range(reps):
             for i_opt, (name, run) in enumerate(optimizers.items()):
                 exact_fn, x0, exact_value = make_problem()

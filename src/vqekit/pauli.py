@@ -116,13 +116,6 @@ class PauliString:
     def commutes(self, other: "PauliString") -> bool:
         return commutes(self, other)
 
-    def action(self) -> tuple[np.ndarray, np.ndarray]:
-        """(src, phases) with (P psi)[b] = phases[b] * psi[src[b]]: row b of
-        the matrix holds phases[b] in column src[b] and is zero elsewhere.
-        The one-row case of `_x_mask_action`."""
-        src, phases = _x_mask_action(self.n_qubits, self.x_mask, (self.z_mask,))
-        return src, phases[0]
-
     def to_matrix(self) -> np.ndarray:
         return PauliSum(self.n_qubits, [PauliTerm(1.0 + 0j, self)]).to_matrix()
 
@@ -349,7 +342,7 @@ class PauliSum:
         if acc.size < c.size:
             np.add.at(acc, np.cumsum(new)[~new] - 1, c[~new])  # one at a time, in stream order
         out = np.argsort(order[new])  # keys in order of first occurrence
-        out = out[np.abs(acc[out]) > ATOL]
+        out = out[~(np.abs(acc[out]) <= ATOL)]  # written so that NaN is kept
         firsts = order[new][out]
         strings = zip(acc[out].tolist(), xs[firsts].tolist(), zs[firsts].tolist())
         terms = [PauliTerm(c, PauliString._unchecked(n_qubits, x, z)) for c, x, z in strings]

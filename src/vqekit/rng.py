@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs"]
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -17,9 +17,3 @@ def make_rng(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.Generator(np.random.Philox(seed))
-
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """n independent Philox streams derived from one root seed."""
-    seqs = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.Generator(np.random.Philox(s)) for s in seqs]

@@ -30,8 +30,6 @@ from .pauli import (
 __all__ = [
     "StateVector",
     "GroupSampler",
-    "apply_pauli_string",
-    "apply_pauli_exponential",
     "expectation_and_variance",
     "exact_eigensystem",
     "ground_state",
@@ -97,24 +95,6 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits})"
-
-
-def apply_pauli_string(state: StateVector, s: PauliString) -> StateVector:
-    if s.n_qubits != state.n_qubits:
-        raise DimensionError("string and state qubit counts differ")
-    src, phases = s.action()
-    return StateVector._unchecked(state.amplitudes[src] * phases, state.n_qubits)
-
-
-def apply_pauli_exponential(state: StateVector, s: PauliString, theta: float) -> StateVector:
-    """exp(i theta P)|psi>, exact: P^2 = I gives cos + i sin P."""
-    if s.n_qubits != state.n_qubits:
-        raise DimensionError("string and state qubit counts differ")
-    theta = float(theta)
-    src, phases = s.action()
-    amps = state.amplitudes
-    amps = np.cos(theta) * amps + 1j * np.sin(theta) * (amps[src] * phases)
-    return StateVector._unchecked(amps, state.n_qubits)
 
 
 def _mean_and_action(state: StateVector, h: PauliSum) -> tuple[float, np.ndarray]:
@@ -319,10 +299,6 @@ class GroupSampler:
             # The per-shot rule is "+1 if u < p_plus", so bit 1 means -1.
             code |= (u[:, level] >= table[code]).astype(np.intp) << j
         return code
-
-    def outcomes(self, code: int) -> tuple[int, ...]:
-        """The +1/-1 outcome of each string in the pattern with this code."""
-        return tuple(self.outcome_table[code].tolist())
 
 
 def _check_tau(tau) -> None:

@@ -33,6 +33,12 @@ def reference_action(s: vk.PauliString) -> tuple[np.ndarray, np.ndarray]:
     return src, phases
 
 
+def outcomes(sampler: vk.GroupSampler, code: int) -> tuple[int, ...]:
+    """The +1/-1 outcome of each string of a sampler's group in the pattern
+    with this code: row `code` of its `outcome_table`."""
+    return tuple(sampler.outcome_table[code].tolist())
+
+
 @pytest.fixture
 def twospin() -> vk.PauliSum:
     """H = -(XX + YY) + ZZ + Z1 + Z2, exact spectrum {-3, -1, 1, 3}."""

@@ -227,24 +227,6 @@ class TestReferenceState:
         )
         np.testing.assert_allclose(ref.to_state().amplitudes, [r, r, 0, 0], atol=1e-12)
 
-    def test_canonicalize(self):
-        from vqekit import canonicalize_reference
-
-        r = 1 / np.sqrt(2)
-        for ref in (
-            ReferenceState.from_occupied(3, [1]),
-            ReferenceState(n_qubits=2, qubit_pairs=((r + 0j, r * 1j), (0j, 1.0 + 0j))),
-        ):
-            rotations, canonical = canonicalize_reference(ref)
-            assert canonical.basis_index == 0
-            rebuilt = np.ones(1, dtype=complex)
-            for q in range(ref.n_qubits - 1, -1, -1):
-                np.testing.assert_allclose(
-                    rotations[q] @ rotations[q].conj().T, np.eye(2), atol=1e-12
-                )
-                rebuilt = np.kron(rebuilt, rotations[q] @ np.array([1.0, 0.0]))
-            np.testing.assert_allclose(rebuilt, ref.to_state().amplitudes, atol=1e-12)
-
 
 class TestPrepareState:
     def test_parameter_count(self):

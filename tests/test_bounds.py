@@ -242,6 +242,12 @@ class TestFoldedSpectrum:
         with pytest.raises(ValidationError):
             folded_spectrum(h, 0.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gamma_refused(self, gamma):
+        h = PauliSum.hermitian([(1.0, "ZI"), (0.5, "XX")])
+        with pytest.raises(ValidationError, match="gamma must be finite"):
+            folded_spectrum(h, gamma)
+
 
 class TestPenalties:
     def test_constraint_validation(self):
@@ -250,6 +256,20 @@ class TestPenalties:
             SymmetryConstraint(operator=PauliSum.from_terms([(1j, "X")]), target=0.0, multiplier=1.0)
         with pytest.raises(ValidationError):
             SymmetryConstraint(operator=z, target=0.0, multiplier=-1.0)
+
+    @pytest.mark.parametrize(
+        "target, multiplier, match",
+        [
+            (np.nan, 1.0, "target"),
+            (np.inf, 1.0, "target"),
+            (0.0, np.nan, "multiplier"),
+            (0.0, np.inf, "multiplier"),
+        ],
+    )
+    def test_non_finite_target_and_multiplier_refused(self, target, multiplier, match):
+        h = PauliSum.hermitian([(1.0, "ZI"), (0.5, "XX")])
+        with pytest.raises(ValidationError, match=match):
+            SymmetryConstraint(h, target=target, multiplier=multiplier)
 
     def test_penalty_matrix(self):
         z = PauliSum.hermitian([(1.0, "Z")])

@@ -31,7 +31,6 @@ from vqekit import (
     jordan_wigner,
     make_rng,
     parameter_count,
-    pilot_covariances,
     posterior_moments,
     prepare_state,
     truncate_terms,
@@ -55,7 +54,7 @@ from vqekit.estimate import (
 )
 from vqekit.errors import CapacityError, ParameterError, ValidationError
 
-from conftest import wall_budget
+from conftest import outcomes, wall_budget
 from test_fermion import random_integrals
 from test_simulator import random_state
 
@@ -137,24 +136,6 @@ class TestCovariances:
         np.testing.assert_allclose(cov[0], 0.0, atol=1e-12)
         np.testing.assert_allclose(cov[:, 0], 0.0, atol=1e-12)
         assert cov[1, 1] == pytest.approx(1.0)
-
-    def test_pilot_approaches_exact(self, twospin, state01):
-        rng = np.random.default_rng(11)
-        cov = pilot_covariances(lambda: state01, twospin, rng)
-        exact = exact_covariances(twospin, state01)
-        # 500 shots: entry noise is a few / sqrt(500)
-        assert abs(cov[0, 0] - exact[0, 0]) < 0.25
-        assert abs(cov[0, 1] - exact[0, 1]) < 0.25
-        assert cov[0, 3] == 0.0  # anticommuting pair never co-measured
-
-    def test_pilot_values_pinned(self, twospin, state01):
-        # Captured from the per-shot sampling loop; batching keeps them.
-        rng = np.random.default_rng(11)
-        cov = pilot_covariances(lambda: state01, twospin, rng)
-        want = np.zeros((5, 5))
-        want[:2, :2] = [[0.9964, 0.997696], [0.997696, 0.999424]]
-        assert np.array_equal(cov, want)
-        assert rng.random() == 0.6172205730618104
 
 
 class TestBuildGroups:
@@ -263,7 +244,6 @@ class TestPlanningOracle:
                 # asymmetric entries are read the way the reference reads them.
                 for cov in (
                     exact_covariances(h, state),
-                    pilot_covariances(lambda: state, h, rng),
                     rng.normal(size=(len(h.terms), len(h.terms))),
                     None,
                 ):
@@ -281,7 +261,7 @@ class TestPlanningOracle:
             for cov in (exact_covariances(h, state), None):
                 assert build_groups(h, cov).groups == reference_build_groups(h, cov).groups
                 cases += 1
-        assert cases == 70 * 5 * 4 + 2
+        assert cases == 70 * 5 * 3 + 2
 
     @pytest.mark.parametrize(
         "label, with_cov, want",
@@ -555,7 +535,7 @@ class TestEstimateExpectation:
             )
             n = rep.total_preparations
             codes = sampler.draw(make_rng(seed), n)
-            r = sum(sampler.outcomes(code) == (1,) for code in codes)
+            r = sum(outcomes(sampler, code) == (1,) for code in codes)
             mean, var = posterior_moments(1.0 + r, 1.0 + n - r, coeff, -coeff)
             assert rep.value == pytest.approx(mean, rel=1e-12)
             assert rep.variance_of_estimator == pytest.approx(var, rel=1e-12)
@@ -821,8 +801,6 @@ class TestPinnedReports:
         plan = MeasurementPlan(groups=((0,), (1, 2), (3, 4)))
         estimate_expectation(prep, twospin, plan, epsilon=0.1, rng=make_rng(0))
         assert len(calls) == 1
-        pilot_covariances(prep, twospin, make_rng(0))
-        assert len(calls) == 2
 
 
 def one_batch_group(sampler, coeffs, _table, _var, target, rng, mode):

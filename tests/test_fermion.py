@@ -6,6 +6,7 @@ matrix with parity signs), so agreement is evidence about the algebra,
 not about two copies of the same code path.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -259,11 +260,12 @@ def two_body_commutator_reference(M, i, j, k, l, p, q, r, s) -> FermionOperator:
         (-d(k, q), [(i, True), (j, True), (p, True), (l, False), (r, False), (s, False)]),
         (+d(r, j), [(p, True), (q, True), (i, True), (s, False), (k, False), (l, False)]),
     ]
-    out = FermionOperator.zero(M)
+    out = {}
     for c, ops in terms:
         if c != 0.0:
-            out = out + T(M, c, ops)
-    return out
+            key = tuple([(m << 1) | dagger for m, dagger in ops])
+            out[key] = out.get(key, 0.0) + c
+    return FermionOperator._unchecked(M, out)
 
 
 class TestTwoBodyCommutatorIdentity:
@@ -367,6 +369,23 @@ class TestJordanWigner:
         f = T(40, 0.75 - 0.5j, [(39, True), (0, False), (17, True), (39, False)])
         f = f + T(40, -1.25, [(17, True), (39, False)]) + T(40, 0.5, [(0, True)])
         assert exact_terms(jordan_wigner(f)) == exact_terms(jw_by_products(f))
+
+    def test_h2_and_eight_mode_sums_are_pinned(self):
+        # SHA-256 of `exact_terms`: the merge step keeps every bit, order and
+        # signed zero of the H2 and seeded 8-mode maps, simplified or not.
+        fs = {
+            "h2": build_hamiltonian(load_integrals(str(CONFIGS / "h2_sto3g.ints"))),
+            "8-mode": build_hamiltonian(random_integrals(np.random.default_rng(7008), 8)),
+        }
+        got = {}
+        for name, f in fs.items():
+            ps = jordan_wigner(f)
+            assert exact_terms(ps.simplify()) == exact_terms(ps)
+            got[name] = hashlib.sha256(repr(exact_terms(ps)).encode()).hexdigest()
+        assert got == {
+            "h2": "7a8ed8b016d2ef4253e3123366ddf7cfb3433069972ad2c9196d28461275af88",
+            "8-mode": "0bdc08c1cad0796871381d58fe9b4f9dbfcba490bf150b42185385e5ba928837",
+        }
 
     def test_more_than_sixty_two_modes_are_refused(self):
         assert len(jordan_wigner(T(62, 1.0, [(61, True)]))) == 2

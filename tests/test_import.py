@@ -65,12 +65,9 @@ PUBLIC_NAMES = [
     "SymmetryConstraint",
     "ValidationError",
     "VqekitError",
-    "apply_pauli_exponential",
-    "apply_pauli_string",
     "assemble_observable",
     "build_groups",
     "build_hamiltonian",
-    "canonicalize_reference",
     "commutator",
     "commutes",
     "convolve_posteriors",
@@ -99,10 +96,8 @@ PUBLIC_NAMES = [
     "parameter_count",
     "path_study",
     "penalty_lagrangian",
-    "pilot_covariances",
     "posterior_moments",
     "prepare_state",
-    "spawn_rngs",
     "spectrum_along_path",
     "spin_cluster_generators",
     "success_probability",

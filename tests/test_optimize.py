@@ -21,7 +21,7 @@ from vqekit import (
     write_summary_csv,
 )
 from vqekit.errors import ValidationError
-from vqekit.rng import make_rng, spawn_rngs
+from vqekit.rng import make_rng
 
 
 def quadratic(center):
@@ -358,6 +358,24 @@ class TestMultistart:
         with pytest.raises(ValidationError):
             multistart(double_well, [(1.0, -1.0)], rng=np.random.default_rng(0))
 
+    def test_no_starts_refused(self):
+        with pytest.raises(ValidationError, match="n_starts must be at least 1"):
+            multistart(double_well, [(0.0, 1.0)], n_starts=0, rng=make_rng(1))
+
+    @pytest.mark.parametrize(
+        "bounds", [[(np.nan, 1.0)], [(0.0, np.nan)], [(-np.inf, 0.0)], [(0.0, 1.0), (0.0, np.inf)]]
+    )
+    def test_non_finite_bounds_refused_before_any_evaluation(self, bounds):
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            return double_well(x)
+
+        with pytest.raises(ValidationError, match="bounds must be finite with lo < hi"):
+            multistart(fn, bounds, n_starts=2, rng=make_rng(1), max_evals=10)
+        assert calls == []
+
 
 def _nm_runner(fn, x0, rng):
     return nelder_mead(fn, x0, tol=1e-10, max_evals=120)
@@ -418,6 +436,18 @@ class TestNoisyBenchmark:
                 self.make_problem, [-0.1], reps=1, optimizers={"nm": _nm_runner}
             )
 
+    @pytest.mark.parametrize("grid", [[np.nan], [np.inf], [0.0, np.nan]])
+    def test_non_finite_noise_rejected_before_any_run(self, grid):
+        runs = []
+
+        def runner(fn, x0, rng):
+            runs.append(1)
+            return _nm_runner(fn, x0, rng)
+
+        with pytest.raises(ValidationError, match="noise level must be finite and >= 0"):
+            noisy_benchmark(self.make_problem, grid, reps=1, optimizers={"nm": runner})
+        assert runs == []
+
 
 class TestSummaries:
     def test_summarize(self):
@@ -472,11 +502,3 @@ class TestRngHelpers:
         assert make_rng(g) is g
         a, b = make_rng(5), make_rng(5)
         assert a.random() == b.random()
-
-    def test_spawn_rngs_independent(self):
-        streams = spawn_rngs(7, 3)
-        assert len(streams) == 3
-        draws = [g.random() for g in streams]
-        assert len(set(draws)) == 3
-        again = [g.random() for g in spawn_rngs(7, 3)]
-        assert draws == again

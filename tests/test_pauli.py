@@ -226,6 +226,14 @@ class TestPauliSum:
         s = PauliSum.from_terms([(1.0, "Z"), (1.0, "X"), (1.0, "Z")])
         assert [t.string.letters for t in s.simplify().terms] == ["Z", "X"]
 
+    def test_simplify_keeps_nan(self):
+        # Only |c| <= ATOL is dropped, so a NaN coefficient stays.
+        out = PauliSum.hermitian([(np.nan, "Z"), (1.0, "X")]).simplify()
+        assert [t.string.letters for t in out.terms] == ["Z", "X"]
+        assert np.isnan(out.terms[0].coeff)
+        merged = PauliSum.from_terms([(1.0, "Z"), (np.nan, "Z")]).simplify()
+        assert len(merged.terms) == 1 and np.isnan(merged.terms[0].coeff)
+
     @pytest.mark.parametrize("n", [63, 64, 70])
     def test_simplify_on_masks_past_sixty_three_qubits(self, n):
         # Masks of 64 qubits and more exceed int64 and merge as Python ints.
