@@ -1,8 +1,8 @@
 """Command-line harness: vqe, adiabatic, estimate, and certify runs.
 
-Configs are single JSON documents validated fail-closed: unknown keys are
-rejected with their path, and numbers must have the right type, be finite
-and lie in range.  Every output is computed before the first file is
+Configs are single JSON documents validated fail-closed: a key is accepted
+only where the run reads it, and numbers must have the right type, be
+finite and lie in range.  Every output is computed before the first file is
 written, so a failed run leaves nothing behind.  All outputs are
 deterministic for a fixed config and seed: JSON keys are sorted and floats
 are written with repr, so reruns are byte-identical.
@@ -32,22 +32,50 @@ from .pauli import PauliSum
 from .rng import make_rng
 from .simulator import StateVector, _expectation, expectation_and_variance
 
-__all__ = ["main", "cmd_vqe", "cmd_adiabatic", "cmd_estimate", "cmd_certify"]
+__all__ = ["main"]
 
 
 def _fail(msg: str):
     raise VqekitError(msg)
 
 
-def _check_keys(d, where: str, required: set, optional: set = frozenset()):
-    if not isinstance(d, dict):
-        _fail(f"{where}: expected an object")
-    unknown = set(d) - required - set(optional)
-    if unknown:
-        _fail(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(d)
-    if missing:
-        _fail(f"{where}: missing keys {sorted(missing)}")
+class _Config:
+    """One config object.  `get` and `[]` mark a key as read, and `done`
+    refuses every key that no read took, so each key is stated once: in
+    the read that uses it."""
+
+    def __init__(self, d, where: str):
+        if not isinstance(d, dict):
+            _fail(f"{where}: expected an object")
+        self.d, self.where, self.read = d, where, set()
+
+    def __contains__(self, key) -> bool:
+        return key in self.d
+
+    def get(self, key: str, default=None):
+        self.read.add(key)
+        return self.d.get(key, default)
+
+    def __getitem__(self, key: str):
+        if key not in self.d:
+            _fail(f"{self.where}: missing keys {[key]}")
+        return self.get(key)
+
+    def done(self) -> None:
+        unknown = set(self.d) - self.read
+        if unknown:
+            _fail(f"{self.where}: unknown keys {sorted(unknown)}")
+
+
+def _one_of(spec, where: str, a: str, b: str):
+    """(key, value) for an object that gives key a or key b and nothing else."""
+    spec = _Config(spec, where)
+    if (a in spec) == (b in spec):
+        _fail(f"{where}: give exactly one of {a} or {b}")
+    key = a if a in spec else b
+    value = spec[key]
+    spec.done()
+    return key, value
 
 
 def _real(value, where: str) -> float:
@@ -79,6 +107,17 @@ def _indices(value, where: str) -> list[int]:
     return [_integer(p, f"{where}[{k}]", 0) for k, p in enumerate(_list(value, where))]
 
 
+def _pairs(value, where: str, form: str) -> list[tuple[float, float]]:
+    """A list of two-number lists, such as [re, im] or [lo, hi] pairs."""
+    out = []
+    for k, pair in enumerate(_list(value, where)):
+        at = f"{where}[{k}]"
+        if not isinstance(pair, list) or len(pair) != 2:
+            _fail(f"{at}: expected a {form} pair, got {pair!r}")
+        out.append((_real(pair[0], at), _real(pair[1], at)))
+    return out
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -95,19 +134,12 @@ def _load_pauli_sum(source, base: Path, where: str) -> PauliSum:
     return PauliSum.from_json_dict(data)
 
 
-def _load_state(spec, where: str) -> StateVector:
-    _check_keys(spec, where, set(), {"label", "amplitudes"})
-    if ("label" in spec) == ("amplitudes" in spec):
-        _fail(f"{where}: give exactly one of label or amplitudes")
-    if "label" in spec:
-        return StateVector.from_label(_string(spec["label"], f"{where}.label"))
-    amps = []
-    for k, pair in enumerate(_list(spec["amplitudes"], f"{where}.amplitudes")):
-        at = f"{where}.amplitudes[{k}]"
-        if not isinstance(pair, list) or len(pair) != 2:
-            _fail(f"{at}: expected a [re, im] pair, got {pair!r}")
-        amps.append(complex(_real(pair[0], at), _real(pair[1], at)))
-    return StateVector(np.array(amps))
+def _load_state(spec) -> StateVector:
+    key, value = _one_of(spec, "state", "label", "amplitudes")
+    if key == "label":
+        return StateVector.from_label(_string(value, "state.label"))
+    pairs = _pairs(value, "state.amplitudes", "[re, im]")
+    return StateVector(np.array([complex(re, im) for re, im in pairs]))
 
 
 def _json_text(obj) -> str:
@@ -115,35 +147,46 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _csv_text(header: list[str], rows) -> str:
+    # str(float) is repr(float), the shortest string that reads back exactly.
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+        lines.append(",".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
-def _write_outputs(cfg: dict, override: str | None, base: Path, files: dict) -> None:
-    """Create the output directory and write every file; called last."""
-    if override is None:
-        override = _string(cfg.get("output_dir", "."), "output_dir")
-    p = base / override
-    p.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (p / name).write_text(text, encoding="utf-8")
+def _seed(cfg: _Config, override: int | None) -> int:
+    """The config seed, checked even when --seed overrides it."""
+    seed = _integer(cfg["seed"], "seed", 0)
+    return seed if override is None else override
 
 
-def _seed_of(cfg: dict, override: int | None) -> int:
-    if override is not None:
-        return override
-    if "seed" not in cfg:
-        _fail("config: a seed is required")
-    return _integer(cfg["seed"], "seed", 0)
+def _certificates(mean: float, var: float, gap: float | None, alpha: float | None = None):
+    """(bound inputs, certificates, stdout lines) for the moments: the
+    Weinstein interval and, given a gap, the ground overlap or the reason
+    it does not apply."""
+    b = _bounds.BoundInputs(
+        mean=mean,
+        variance=var,
+        gap=gap if gap is not None else math.inf,
+        alpha=alpha,
+    )
+    lo, hi = _bounds.weinstein_interval(b)
+    certs = {"mean": mean, "variance": var, "weinstein": [lo, hi]}
+    lines = [
+        f"mean {mean!r}, variance {var!r}",
+        f"weinstein interval [{lo!r}, {hi!r}]",
+    ]
+    if gap is not None:
+        try:
+            g = _bounds.overlap_bound(b, "ground")
+            certs["ground_overlap"] = g
+            lines.append(f"ground overlap >= {g!r}")
+        except VqekitError as exc:
+            certs["ground_overlap"] = None
+            certs["ground_overlap_note"] = str(exc)
+            lines.append(f"ground overlap bound inapplicable: {exc}")
+    return b, certs, lines
 
 
 def _sampling_budget(h: PauliSum, epsilon: float, trunc_c: float):
@@ -159,23 +202,15 @@ def _sampling_budget(h: PauliSum, epsilon: float, trunc_c: float):
 # ---------------------------------------------------------------- vqe
 
 
-def _build_problem(cfg: dict, base: Path) -> PauliSum:
-    _check_keys(cfg, "problem", set(), {"integrals", "hamiltonian"})
-    if ("integrals" in cfg) == ("hamiltonian" in cfg):
-        _fail("problem: give exactly one of integrals or hamiltonian")
-    if "integrals" in cfg:
-        path = base / _string(cfg["integrals"], "problem.integrals")
+def _build_problem(spec, base: Path) -> PauliSum:
+    key, source = _one_of(spec, "problem", "integrals", "hamiltonian")
+    if key == "integrals":
+        path = base / _string(source, "problem.integrals")
         return jordan_wigner(build_hamiltonian(load_integrals(str(path))))
-    return _load_pauli_sum(cfg["hamiltonian"], base, "problem.hamiltonian")
+    return _load_pauli_sum(source, base, "problem.hamiltonian")
 
 
-def _build_ansatz(cfg: dict, n_qubits: int):
-    _check_keys(
-        cfg,
-        "ansatz",
-        {"kind"},
-        {"order", "occupied", "reference", "trotter_slices", "relaxed"},
-    )
+def _build_ansatz(cfg: _Config, n_qubits: int):
     kind = cfg["kind"]
     order = _integer(cfg.get("order", 2), "ansatz.order", 1)
     if kind == "fermionic_ucc":
@@ -206,56 +241,47 @@ def _build_ansatz(cfg: dict, n_qubits: int):
         ),
         relaxed=relaxed,
     )
+    cfg.done()
     return ref, acfg
 
 
-def _reference_from_cfg(cfg: dict, n_qubits: int) -> "_ansatz.ReferenceState":
+def _reference_from_cfg(cfg: _Config, n_qubits: int) -> "_ansatz.ReferenceState":
     spec = cfg.get("reference")
     if spec is None:
         _fail("ansatz: this kind needs a reference")
-    _check_keys(spec, "ansatz.reference", set(), {"label", "occupied"})
-    if ("label" in spec) == ("occupied" in spec):
-        _fail("ansatz.reference: give exactly one of label or occupied")
-    if "label" in spec:
-        label = _string(spec["label"], "ansatz.reference.label")
+    key, value = _one_of(spec, "ansatz.reference", "label", "occupied")
+    if key == "label":
+        label = _string(value, "ansatz.reference.label")
         if len(label) != n_qubits:
             _fail("ansatz.reference: label length does not match qubit count")
         if set(label) - set("01"):
             _fail(f"ansatz.reference.label: expected only 0 and 1, got {label!r}")
         return _ansatz.ReferenceState(n_qubits=n_qubits, basis_index=int(label, 2))
     return _ansatz.ReferenceState.from_occupied(
-        n_qubits, _indices(spec["occupied"], "ansatz.reference.occupied")
+        n_qubits, _indices(value, "ansatz.reference.occupied")
     )
 
 
-def _run_optimizer(cfg: dict, fn, x0, seed: int):
-    _check_keys(
-        cfg,
-        "optimizer",
-        set(),
-        {"method", "tol", "max_evals", "restarts", "n_starts", "bounds"},
-    )
+def _run_optimizer(cfg: _Config, fn, x0, seed: int):
     method = cfg.get("method", "nelder_mead")
     tol = _real(cfg.get("tol", 1e-9), "optimizer.tol")
     max_evals = _integer(cfg.get("max_evals", 400), "optimizer.max_evals", 1)
     restarts = _integer(cfg.get("restarts", 0), "optimizer.restarts", 0)
     if method == "nelder_mead":
+        cfg.done()
         return _optimize.nelder_mead(
             fn, x0, tol=tol, max_evals=max_evals, restarts=restarts
         )
     if method == "multistart":
         if "bounds" not in cfg:
             _fail("optimizer: multistart needs bounds")
-        bounds = []
-        for k, pair in enumerate(_list(cfg["bounds"], "optimizer.bounds")):
-            at = f"optimizer.bounds[{k}]"
-            if not isinstance(pair, list) or len(pair) != 2:
-                _fail(f"{at}: expected a [lo, hi] pair, got {pair!r}")
-            bounds.append((_real(pair[0], at), _real(pair[1], at)))
+        bounds = _pairs(cfg["bounds"], "optimizer.bounds", "[lo, hi]")
+        n_starts = _integer(cfg.get("n_starts", 8), "optimizer.n_starts", 1)
+        cfg.done()
         return _optimize.multistart(
             fn,
             bounds,
-            n_starts=_integer(cfg.get("n_starts", 8), "optimizer.n_starts", 1),
+            n_starts=n_starts,
             rng=make_rng(seed),
             tol=tol,
             max_evals=max_evals,
@@ -264,30 +290,27 @@ def _run_optimizer(cfg: dict, fn, x0, seed: int):
     _fail(f"optimizer: unknown method {method!r}")
 
 
-def cmd_vqe(cfg: dict, out_override=None, seed_override=None, exact=False, base=Path(".")) -> int:
-    _check_keys(
-        cfg,
-        "config",
-        {"problem", "ansatz", "seed"},
-        {"estimator", "optimizer", "output_dir", "gap"},
-    )
-    seed = _seed_of(cfg, seed_override)
-    h = _build_problem(cfg["problem"], base)
-    ref, acfg = _build_ansatz(cfg["ansatz"], h.n_qubits)
+def cmd_vqe(cfg: _Config, args: argparse.Namespace, base: Path) -> tuple[dict, list, int]:
+    seed = _seed(cfg, args.seed)
+    problem, ansatz_cfg = cfg["problem"], _Config(cfg["ansatz"], "ansatz")
+    est_cfg = _Config(cfg.get("estimator", {}), "estimator")
+    opt_cfg = _Config(cfg.get("optimizer", {}), "optimizer")
+    gap = _real(cfg["gap"], "gap") if "gap" in cfg else None
+    cfg.done()
+    h = _build_problem(problem, base)
+    ref, acfg = _build_ansatz(ansatz_cfg, h.n_qubits)
 
-    est_cfg = cfg.get("estimator", {})
-    _check_keys(
-        est_cfg, "estimator", set(), {"mode", "epsilon", "truncation", "grouping"}
-    )
-    mode = "exact" if exact else est_cfg.get("mode", "exact")
+    # --exact replaces the mode, but a bad one is still refused.
+    mode = est_cfg.get("mode", "exact")
     if mode not in ("exact", "frequentist", "bayesian"):
         _fail(f"estimator: unknown mode {mode!r}")
+    mode = "exact" if args.exact else mode
     epsilon = _real(est_cfg.get("epsilon", 0.01), "estimator.epsilon")
     trunc_c = _real(est_cfg.get("truncation", 0.0), "estimator.truncation")
     grouping = est_cfg.get("grouping", "auto")
     if grouping not in ("auto", "singleton"):
         _fail(f"estimator: unknown grouping {grouping!r}")
-    gap = _real(cfg["gap"], "gap") if "gap" in cfg else None
+    est_cfg.done()
 
     h_meas, _k_star, eps_sampling = _sampling_budget(h, epsilon, trunc_c)
     preparations = 0
@@ -318,21 +341,10 @@ def cmd_vqe(cfg: dict, out_override=None, seed_override=None, exact=False, base=
             return rep.value
 
     x0 = np.zeros(_ansatz.parameter_count(acfg))
-    res = _run_optimizer(cfg.get("optimizer", {}), objective, x0, seed)
+    res = _run_optimizer(opt_cfg, objective, x0, seed)
 
     final_state = _ansatz.prepare_state(ref, acfg, res.x)
-    mean, var = expectation_and_variance(final_state, h)
-    certs = {"mean": mean, "variance": var}
-    lo, hi = _bounds.weinstein_interval(_bounds.BoundInputs(mean=mean, variance=var))
-    certs["weinstein"] = [lo, hi]
-    if gap is not None:
-        b = _bounds.BoundInputs(mean=mean, variance=var, gap=gap)
-        try:
-            certs["ground_overlap"] = _bounds.overlap_bound(b, "ground")
-        except VqekitError as exc:
-            certs["ground_overlap"] = None
-            certs["ground_overlap_note"] = str(exc)
-
+    _, certs, _ = _certificates(*expectation_and_variance(final_state, h), gap)
     result = {
         "final_energy": float(res.value),
         "parameters": [float(v) for v in res.x],
@@ -350,38 +362,24 @@ def cmd_vqe(cfg: dict, out_override=None, seed_override=None, exact=False, base=
             ["evaluation", "value"], [(i, float(v)) for i, v in res.trace]
         ),
     }
-    _write_outputs(cfg, out_override, base, files)
-    print(f"final energy {res.value!r} after {res.evaluations} evaluations")
-    return 0 if res.converged else 2
+    line = f"final energy {res.value!r} after {res.evaluations} evaluations"
+    return files, [line], 0 if res.converged else 2
 
 
 # ---------------------------------------------------------- adiabatic
 
 
-def cmd_adiabatic(cfg: dict, out_override=None, seed_override=None, base=Path(".")) -> int:
-    _check_keys(
-        cfg,
-        "config",
-        {"initial_hamiltonian", "problem_hamiltonian", "taus", "seed"},
-        {
-            "a_grid",
-            "family",
-            "objective",
-            "steps",
-            "n_switches",
-            "output_dir",
-        },
-    )
-    _seed_of(cfg, seed_override)
+def cmd_adiabatic(cfg: _Config, args: argparse.Namespace, base: Path) -> tuple[dict, list, int]:
+    _seed(cfg, args.seed)
     h_i = _load_pauli_sum(cfg["initial_hamiltonian"], base, "initial_hamiltonian")
     h_p = _load_pauli_sum(cfg["problem_hamiltonian"], base, "problem_hamiltonian")
-    grid_cfg = cfg.get("a_grid", {})
-    _check_keys(grid_cfg, "a_grid", set(), {"start", "stop", "points"})
+    grid_cfg = _Config(cfg.get("a_grid", {}), "a_grid")
     a_grid = np.linspace(
         _real(grid_cfg.get("start", 0.0), "a_grid.start"),
         _real(grid_cfg.get("stop", 1.0), "a_grid.stop"),
         _integer(grid_cfg.get("points", 1001), "a_grid.points", 1),
     )
+    grid_cfg.done()
     taus = [_real(t, f"taus[{k}]") for k, t in enumerate(_list(cfg["taus"], "taus"))]
     if not taus:
         _fail("config: taus must be nonempty")
@@ -391,7 +389,10 @@ def cmd_adiabatic(cfg: dict, out_override=None, seed_override=None, base=Path(".
     objective = cfg.get("objective", "energy")
     steps = cfg.get("steps")
     steps = _integer(steps, "steps", 1) if steps is not None else None
-    n_switches = _integer(cfg.get("n_switches", 2), "n_switches", 0)
+    # Only bang-bang schedules have switches; 2 is path_study's default.
+    n_switches = cfg.get("n_switches", 2) if family == "bang_bang" else 2
+    n_switches = _integer(n_switches, "n_switches", 0)
+    cfg.done()
 
     # The study refuses an overlong tau before any eigensolve.
     study = _schedule.path_study(h_i, h_p, taus, family, objective, steps, n_switches)
@@ -444,32 +445,25 @@ def cmd_adiabatic(cfg: dict, out_override=None, seed_override=None, base=Path(".
             success_rows,
         ),
     }
-    _write_outputs(cfg, out_override, base, files)
-    print("\n".join(lines))
-    return 0
+    return files, lines, 0
 
 
 # ----------------------------------------------------------- estimate
 
 
-def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, base=Path(".")) -> int:
-    _check_keys(
-        cfg,
-        "config",
-        {"hamiltonian", "state", "seed"},
-        {"epsilon", "mode", "plans", "truncation", "output_dir"},
-    )
-    seed = _seed_of(cfg, seed_override)
+def cmd_estimate(cfg: _Config, args: argparse.Namespace, base: Path) -> tuple[dict, list, int]:
+    seed = _seed(cfg, args.seed)
     h = _load_pauli_sum(cfg["hamiltonian"], base, "hamiltonian")
-    state = _load_state(cfg["state"], "state")
+    state = _load_state(cfg["state"])
     epsilon = _real(cfg.get("epsilon", 0.1), "epsilon")
     mode = cfg.get("mode", "frequentist")
     if mode not in ("frequentist", "bayesian"):
         _fail(f"config: unknown mode {mode!r}")
     trunc_c = _real(cfg.get("truncation", 0.0), "truncation")
+    plans_cfg = cfg.get("plans", "auto")
+    cfg.done()
     h_meas, k_star, eps_sampling = _sampling_budget(h, epsilon, trunc_c)
 
-    plans_cfg = cfg.get("plans", "auto")
     plans: list[tuple[str, _estimate.MeasurementPlan]] = []
     if plans_cfg == "auto":
         cov = _estimate.exact_covariances(h_meas, state)
@@ -477,7 +471,7 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
     else:
         for k, entry in enumerate(_list(plans_cfg, "plans")):
             where = f"plans[{k}]"
-            _check_keys(entry, where, {"groups"}, {"name"})
+            entry = _Config(entry, where)
             groups = _list(entry["groups"], f"{where}.groups")
             plan = _estimate.MeasurementPlan(
                 groups=tuple(
@@ -485,6 +479,7 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
                 )
             )
             name = _string(entry.get("name", f"plan-{k + 1}"), f"{where}.name")
+            entry.done()
             plans.append((name, plan))
         if not plans:
             _fail("plans: expected at least one plan")
@@ -508,8 +503,8 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
         if best is None or n_exp < best[2]:
             best = (name, plan, n_exp)
 
-    report_dict = None
-    if not exact:
+    files = {"plan.txt": "\n".join(plan_text) + "\n"}
+    if not args.exact:
         name, plan, _ = best
         rng = make_rng(seed)
         rep = _estimate.estimate_expectation(
@@ -531,73 +526,31 @@ def cmd_estimate(cfg: dict, out_override=None, seed_override=None, exact=False, 
         report_dict["epsilon"] = epsilon
         report_dict["seed"] = seed
         report_dict["truncated_terms"] = k_star
-
-    files = {"plan.txt": "\n".join(plan_text) + "\n"}
-    if report_dict is not None:
         files["report.json"] = _json_text(report_dict)
-    _write_outputs(cfg, out_override, base, files)
-    print("\n".join(lines))
-    return 0
+    return files, lines, 0
 
 
 # ------------------------------------------------------------ certify
 
 
-def cmd_certify(cfg: dict, out_override=None, base=Path(".")) -> int:
-    _check_keys(
-        cfg,
-        "config",
-        set(),
-        {
-            "mean",
-            "variance",
-            "hamiltonian",
-            "state",
-            "gap",
-            "alpha",
-            "output_dir",
-            "seed",
-        },
-    )
+def cmd_certify(cfg: _Config, args: argparse.Namespace, base: Path) -> tuple[dict, list, int]:
+    # Certificates draw nothing, so the seed is optional, but it is checked.
+    _integer(cfg.get("seed", 0), "seed", 0)
     direct = "mean" in cfg or "variance" in cfg
-    derived = "hamiltonian" in cfg or "state" in cfg
-    if direct == derived:
+    if direct == ("hamiltonian" in cfg or "state" in cfg):
         _fail("config: give mean/variance or hamiltonian/state, not both")
     if direct:
-        if "mean" not in cfg or "variance" not in cfg:
-            _fail("config: mean and variance go together")
         mean = _real(cfg["mean"], "mean")
         var = _real(cfg["variance"], "variance")
     else:
-        if "hamiltonian" not in cfg or "state" not in cfg:
-            _fail("config: hamiltonian and state go together")
         h = _load_pauli_sum(cfg["hamiltonian"], base, "hamiltonian")
-        state = _load_state(cfg["state"], "state")
-        mean, var = expectation_and_variance(state, h)
-
+        mean, var = expectation_and_variance(_load_state(cfg["state"]), h)
     gap = _real(cfg["gap"], "gap") if "gap" in cfg else None
     alpha = _real(cfg["alpha"], "alpha") if "alpha" in cfg else None
-    b = _bounds.BoundInputs(
-        mean=mean,
-        variance=var,
-        gap=gap if gap is not None else math.inf,
-        alpha=alpha,
-    )
-    lo, hi = _bounds.weinstein_interval(b)
-    report = {"mean": mean, "variance": var, "weinstein": [lo, hi]}
-    lines = [
-        f"mean {mean!r}, variance {var!r}",
-        f"weinstein interval [{lo!r}, {hi!r}]",
-    ]
+    cfg.done()
+
+    b, report, lines = _certificates(mean, var, gap, alpha)
     if gap is not None:
-        try:
-            g = _bounds.overlap_bound(b, "ground")
-            report["ground_overlap"] = g
-            lines.append(f"ground overlap >= {g!r}")
-        except VqekitError as exc:
-            report["ground_overlap"] = None
-            report["ground_overlap_note"] = str(exc)
-            lines.append(f"ground overlap bound inapplicable: {exc}")
         e = _bounds.overlap_bound(b, "excited")
         report["excited_overlap"] = e
         lines.append(f"excited overlap >= {e!r} (premise-dependent)")
@@ -608,13 +561,17 @@ def cmd_certify(cfg: dict, out_override=None, base=Path(".")) -> int:
         report["delos_blinder_sqrt"] = dbs
         lines.append(f"eigenvalue >= {db!r} (variance form)")
         lines.append(f"eigenvalue >= {dbs!r} (deviation form)")
-
-    _write_outputs(cfg, out_override, base, {"certificates.json": _json_text(report)})
-    print("\n".join(lines))
-    return 0
+    return {"certificates.json": _json_text(report)}, lines, 0
 
 
 # ----------------------------------------------------------------- main
+
+COMMANDS = {
+    "vqe": cmd_vqe,
+    "adiabatic": cmd_adiabatic,
+    "estimate": cmd_estimate,
+    "certify": cmd_certify,
+}
 
 
 def main(argv=None) -> int:
@@ -623,17 +580,12 @@ def main(argv=None) -> int:
         description="variational and adiabatic eigensolver toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_exact in (
-        ("vqe", True),
-        ("adiabatic", False),
-        ("estimate", True),
-        ("certify", False),
-    ):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
-        if needs_exact:
+        if name in ("vqe", "estimate"):
             p.add_argument(
                 "--exact",
                 action="store_true",
@@ -643,18 +595,20 @@ def main(argv=None) -> int:
 
     try:
         cfg_path = Path(args.config)
-        cfg = _load_json(str(cfg_path))
+        cfg = _Config(_load_json(str(cfg_path)), "config")
         base = cfg_path.resolve().parent
-        if args.command == "vqe":
-            return cmd_vqe(cfg, args.out, args.seed, args.exact, base)
-        if args.command == "adiabatic":
-            return cmd_adiabatic(cfg, args.out, args.seed, base)
-        if args.command == "estimate":
-            return cmd_estimate(cfg, args.out, args.seed, args.exact, base)
-        return cmd_certify(cfg, args.out, base)
+        # Checked even when --out wins.
+        out = _string(cfg.get("output_dir", "."), "output_dir")
+        files, lines, code = COMMANDS[args.command](cfg, args, base)
+        out_dir = base / (out if args.out is None else args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
     except (VqekitError, OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

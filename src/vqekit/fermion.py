@@ -46,8 +46,8 @@ _LADDER_FACTORS = np.array([[0.5 + 0j, 0.5j], [0.5 + 0j, -0.5j]])  # [dagger, X 
 
 
 def _kept(terms: dict) -> dict[tuple[int, ...], complex]:
-    """The terms with |c| > 1e-12, each coefficient made complex."""
-    return {ops: complex(c) for ops, c in terms.items() if abs(c) > _COEFF_ATOL}
+    """The terms with |c| > 1e-12 or NaN, each coefficient made complex."""
+    return {ops: complex(c) for ops, c in terms.items() if not abs(c) <= _COEFF_ATOL}
 
 
 def _op(mode: int, dagger: bool) -> int:

@@ -283,9 +283,9 @@ class PauliSum:
 
     @classmethod
     def hermitian(cls, pairs: list[tuple[float, str]]) -> "PauliSum":
-        """Like from_terms but rejects non-real coefficients."""
+        """Like from_terms but rejects non-real coefficients, NaN parts included."""
         for c, _ in pairs:
-            if abs(complex(c).imag) > ATOL:
+            if not abs(complex(c).imag) <= ATOL:
                 raise ValidationError(f"non-real coefficient {c!r} in Hermitian sum")
         return cls.from_terms([(complex(c).real, s) for c, s in pairs])
 

@@ -846,6 +846,39 @@ class TestFailClosed:
                 },
                 "the plan expects 6.3787e+15 preparations, over the limit of 1e+09",
             ),
+            # A key that the chosen kind, method, family or command does not
+            # read is refused, not ignored.
+            *(
+                (
+                    "vqe",
+                    {**UCC_2Q, "ansatz": {"kind": kind, "occupied": [0, 1, 7], "reference": {"label": "01"}}},
+                    "ansatz: unknown keys ['occupied']",
+                )
+                for kind in ("spin_cluster", "suquca")
+            ),
+            (
+                "vqe",
+                {**UCC_2Q, "ansatz": {**UCC_2Q["ansatz"], "reference": {"label": "banana"}}},
+                "ansatz: unknown keys ['reference']",
+            ),
+            (
+                "vqe",
+                {**UCC_2Q, "optimizer": {"bounds": "nonsense", "n_starts": -3}},
+                "optimizer: unknown keys ['bounds', 'n_starts']",
+            ),
+            ("adiabatic", {**ADIABATIC_SMALL, "n_switches": 3}, "config: unknown keys ['n_switches']"),
+            # certify draws nothing, so its seed is optional, but it is checked.
+            (
+                "certify",
+                {"mean": -2.8, "variance": 0.36, "seed": "not a seed"},
+                "seed: expected an integer >= 0, got 'not a seed'",
+            ),
+            # --out wins, but output_dir is checked all the same.
+            (
+                "certify",
+                {"mean": -2.8, "variance": 0.36, "output_dir": 5},
+                "output_dir: expected a string, got 5",
+            ),
         ],
     )
     def test_bad_value(self, tmp_path, command, cfg, message):
@@ -875,14 +908,16 @@ class TestFailClosed:
                 {**UCC_2Q, "estimator": {"mode": "frequentist", "epsilon": -1.0}},
                 "epsilon must be finite and positive",
             ),
+            ("vqe", {**UCC_2Q, "estimator": {"mode": "mle"}}, "estimator: unknown mode 'mle'"),
         ],
     )
     def test_settings_unused_under_exact_are_still_checked(self, tmp_path, command, cfg, message):
         path = write_config(tmp_path / "bad.json", cfg)
         out = tmp_path / "o"
-        code, _, err = run_cli(command, "--config", path, "--exact", "--out", str(out))
+        code, stdout, err = run_cli(command, "--config", path, "--exact", "--out", str(out))
         assert code == 1
         assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err and stdout == ""
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1012,6 +1047,8 @@ class TestDocumentedKeys:
         [
             ({"kind": "spin_cluster", "relaxed": True, "trotter_slices": 2}, 12),
             ({"kind": "suquca"}, 4),
+            # The same |01> reference as the label "01".
+            ({"reference": {"occupied": [0]}}, 6),
         ],
     )
     def test_ansatz_keys(self, tmp_path, ansatz, n_params):
@@ -1021,6 +1058,21 @@ class TestDocumentedKeys:
         result = json.loads((a / "result.json").read_text())
         assert len(result["parameters"]) == n_params
         assert result["evaluations"] == 20
+
+    def test_singleton_grouping(self, tmp_path):
+        estimator = {"mode": "frequentist", "epsilon": 0.3, "grouping": "singleton"}
+        code, _, a = self.run_twice(tmp_path, "vqe", {**SPIN_2Q, "estimator": estimator})
+        assert code == 2
+        result = json.loads((a / "result.json").read_text())
+        # Five one-term groups at the 1000-shot floor in each of 20 evaluations.
+        assert (result["evaluations"], result["total_preparations"]) == (20, 100_000)
+
+    def test_inapplicable_ground_overlap(self, tmp_path):
+        code, _, a = self.run_twice(tmp_path, "vqe", {**SPIN_2Q, "gap": 0.5})
+        assert code == 2
+        certs = json.loads((a / "result.json").read_text())["certificates"]
+        assert certs["ground_overlap"] is None
+        assert "must be below the gap 0.5" in certs["ground_overlap_note"]
 
     @pytest.mark.parametrize(
         "keys, family, n_params",
@@ -1058,6 +1110,8 @@ class TestDocumentedKeys:
             ),
             ("adiabatic", {**ADIABATIC_SMALL, "family": "cubic"}, "unknown schedule family 'cubic'"),
             ("adiabatic", {**ADIABATIC_SMALL, "objective": "bogus"}, "unknown objective 'bogus'"),
+            ("vqe", {**UCC_2Q, "optimizer": {"method": "bfgs"}}, "optimizer: unknown method 'bfgs'"),
+            ("vqe", {**UCC_2Q, "estimator": {"mode": "mle"}}, "estimator: unknown mode 'mle'"),
         ],
     )
     def test_bad_value(self, tmp_path, command, cfg, message):

@@ -192,6 +192,21 @@ class TestNormalOrder:
         assert FermionOperator.number_operator(3).is_hermitian()
         assert not T(2, 1.0, [(0, True)]).is_hermitian()
 
+    # Only |c| <= 1e-12 is dropped, so a NaN coefficient stays visible.
+    def test_nan_term_is_kept(self):
+        f = FermionOperator(2, {(1, 0): np.nan, (3, 2): 1.0})
+        assert list(f.terms) == [(1, 0), (3, 2)] and np.isnan(f.terms[(1, 0)])
+
+    def test_nan_single_term_is_not_zero(self):
+        f = T(2, np.nan, [(0, True), (1, False)])
+        assert len(f.terms) == 1 and not f.is_zero()
+        ps = jordan_wigner(f)
+        assert len(ps) == 4 and all(np.isnan(t.coeff) for t in ps.terms)
+
+    def test_nan_scalar_product_is_kept(self):
+        f = np.nan * T(2, 1.0, [(0, True), (1, False)])
+        assert len(f.terms) == 1 and np.isnan(next(iter(f.terms.values())))
+
 
 class TestCommutator:
     def test_matches_matrix_commutator(self):

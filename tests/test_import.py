@@ -19,7 +19,8 @@ TESTS = Path(__file__).resolve().parent
 
 def test_import_leaves_slow_scipy_submodules_unloaded():
     # Building and evaluating a spline schedule loads none of them either,
-    # nor does a Bayesian estimate with a credible interval.
+    # nor does a Bayesian estimate with a credible interval.  The command
+    # line stays unloaded too, so library runs never pay for it.
     code = (
         "import sys, vqekit as vk; "
         "vk.Schedule.spline(2.0, 0.3, 0.7).evaluate([0.5, 1.0]); "
@@ -28,7 +29,7 @@ def test_import_leaves_slow_scipy_submodules_unloaded():
         "rep = vk.estimate_expectation(lambda: vk.StateVector.from_label('01'), h, plan, 0.1, "
         "mode='bayesian', rng=vk.make_rng(0), credible_level=0.95); "
         "assert rep.credible_interval is not None; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate', 'vqekit.cli') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     out = subprocess.run(

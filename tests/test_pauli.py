@@ -191,6 +191,11 @@ class TestPauliSum:
         with pytest.raises(ValidationError):
             PauliSum.hermitian([(1j, "X")])
 
+    def test_hermitian_rejects_nan_imaginary_part(self):
+        # A NaN imaginary part used to pass the check and turn into 0.
+        with pytest.raises(ValidationError, match="non-real coefficient nanj"):
+            PauliSum.hermitian([(complex(0, np.nan), "Z"), (1.0, "X")])
+
     def test_from_terms_empty(self):
         with pytest.raises(ValidationError):
             PauliSum.from_terms([])
